@@ -21,7 +21,6 @@ from .algebra import (
     product,
     to_multiplicative,
     validate_split,
-    verify_right_annihilation,
 )
 from .corpus import (
     CorpusEntry,
@@ -76,7 +75,7 @@ from .graphs import (
     to_dot,
     undirected_components,
 )
-from .scalars import FieldSpec, Scalar, Subspace, rref, scalar_arith
+from .scalars import FieldSpec, Subspace, rref
 from .structure import (
     Decomposition,
     MinimalityVerdict,
@@ -92,6 +91,7 @@ from .structure import (
     reachability_members,
     restrict_to_indices,
     simplicity_necessary,
+    weak_division_json,
 )
 
 __version__ = "0.1.0"

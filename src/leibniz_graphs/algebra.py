@@ -4,19 +4,24 @@ Conventions used throughout:
 
 * the bracket is bilinear and satisfies the (right) Leibniz identity
       [[y, z], x] = [[y, x], z] + [y, [z, x]];
-* ``tensor[i][j]`` holds the coordinates of ``[v_i, v_j]``, so
-  ``[v_i, v_j] = sum_k tensor[i][j][k] * v_k``;
+* ``products[(i, j)]`` holds the nonzero coordinates of ``[v_i, v_j]`` as
+  ``{k: c}``, so ``[v_i, v_j] = sum_k c_k * v_k``; absent pairs multiply
+  to zero, and every ``c`` is a canonical value of the field;
 * the kernel ideal is the smallest ideal containing every square
   ``[x, x]``; the bracket kills it on the right: ``[L, kernel] = 0``;
 * a multiplicative basis has every basis product equal to a scalar
   multiple of a single basis vector, and respects the kernel split:
   products out of a kernel vector stay in the kernel part, products
   into a kernel vector vanish.
+
+Only nonzero products are stored, and every loop below walks them, so
+work scales with the number of nonzero structure constants rather than
+with dim^3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -29,12 +34,13 @@ from .errors import (
 )
 from .scalars import (
     FieldSpec,
-    Scalar,
     Subspace,
+    add_scaled,
+    echelon,
+    prune,
+    to_dense,
+    to_sparse,
     unit_vector,
-    vec_add,
-    vec_is_zero,
-    zero_vector,
 )
 
 __all__ = [
@@ -47,12 +53,15 @@ __all__ = [
     "product",
     "to_multiplicative",
     "validate_split",
-    "verify_right_annihilation",
 ]
 
 
 class LeibnizAlgebra:
-    """An algebra over an exact field, defined by its structure tensor.
+    """An algebra over an exact field, defined by its nonzero products.
+
+    ``products`` maps basis index pairs (i, j) to ``{k: c}``, the nonzero
+    coordinates of [v_i, v_j].  Zero coefficients and empty entries are
+    dropped, so equal algebras hold equal mappings.
 
     By default the constructor verifies the Leibniz identity on all basis
     triples and raises NotLeibnizError on failure.  Pass ``check=False``
@@ -61,37 +70,40 @@ class LeibnizAlgebra:
     ``identity_verified == False`` until a full check has run.
     """
 
-    __slots__ = ("field", "labels", "tensor", "identity_verified")
+    __slots__ = ("field", "labels", "products", "identity_verified",
+                 "_left", "_right")
 
     def __init__(self, field: FieldSpec, labels: Sequence[str],
-                 tensor, *, check: bool = True):
+                 products: Mapping, *, check: bool = True):
         labels = tuple(str(x) for x in labels)
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be unique")
         n = len(labels)
-        if len(tensor) != n:
-            raise DimensionMismatchError("tensor must be n x n x n")
-        rows = []
-        for i in range(n):
-            if len(tensor[i]) != n:
-                raise DimensionMismatchError(f"tensor row {i} has wrong arity")
-            row = []
-            for j in range(n):
-                v = tuple(tensor[i][j])
-                if len(v) != n:
-                    raise DimensionMismatchError(
-                        f"tensor entry ({i},{j}) has length {len(v)} != {n}"
-                    )
-                for s in v:
-                    if not isinstance(s, Scalar) or s.field != field:
-                        raise FieldMismatchError(
-                            f"tensor entry ({i},{j}) holds foreign scalars"
-                        )
-                row.append(v)
-            rows.append(tuple(row))
+        table = {}
+        for (i, j), coords in sorted(products.items()):
+            if not all(0 <= x < n for x in (i, j, *coords)):
+                raise DimensionMismatchError(
+                    f"product ({i},{j}) has an index outside dimension {n}"
+                )
+            if not all(map(field.is_element, coords.values())):
+                raise FieldMismatchError(
+                    f"product ({i},{j}) holds a value foreign to {field}"
+                )
+            coords = {k: c for k, c in sorted(coords.items()) if c}
+            if coords:
+                table[(i, j)] = coords
+        left = [{} for _ in range(n)]
+        right = [{} for _ in range(n)]
+        for (i, j), coords in table.items():
+            left[i][j] = coords
+            right[j][i] = coords
         self.field = field
         self.labels = labels
-        self.tensor = tuple(rows)
+        self.products = table
+        # left[i] = {j: [v_i, v_j]} and right[j] = {i: [v_i, v_j]}, over
+        # nonzero products only
+        self._left = tuple(left)
+        self._right = tuple(right)
         self.identity_verified = False
         if check:
             violations = check_leibniz(self)
@@ -116,10 +128,13 @@ class LeibnizAlgebra:
         if not isinstance(other, LeibnizAlgebra):
             return NotImplemented
         return (self.field == other.field and self.labels == other.labels
-                and self.tensor == other.tensor)
+                and self.products == other.products)
 
     def __hash__(self):
-        return hash((self.field, self.labels, self.tensor))
+        return hash((self.field, self.labels, tuple(
+            (pair, tuple(coords.items()))
+            for pair, coords in self.products.items()
+        )))
 
     def __repr__(self):
         return (f"LeibnizAlgebra({self.field}, dim={self.dim}, "
@@ -131,29 +146,26 @@ class LeibnizAlgebra:
                       ) -> "LeibnizAlgebra":
         """Build from a sparse map {(left, right): (out, coeff)} on labels.
 
-        Coefficients may be ints, Fractions, or Scalars; unlisted products
-        are zero.  A coefficient that vanishes in the field is rejected so
+        Coefficients may be ints or Fractions; unlisted products are
+        zero.  A coefficient that vanishes in the field is rejected so
         that characteristic problems surface here, not later.
         """
         labels = tuple(str(x) for x in labels)
         index = {lab: i for i, lab in enumerate(labels)}
-        n = len(labels)
-        tensor = [[list(zero_vector(field, n)) for _ in range(n)]
-                  for _ in range(n)]
+        table = {}
         for (left, right), (out, coeff) in products.items():
-            i, j, k = index[left], index[right], index[out]
             c = field.scalar(coeff)
             if not c:
                 raise ValueError(
                     f"product [{left},{right}] has coefficient {coeff}, "
                     f"which is zero in {field}"
                 )
-            tensor[i][j][k] = tensor[i][j][k] + c
-        return cls(field, labels, tensor, check=check)
+            table[(index[left], index[right])] = {index[out]: c}
+        return cls(field, labels, table, check=check)
 
 
 def _mark_verified(algebra: LeibnizAlgebra) -> LeibnizAlgebra:
-    # Internal: used after an explicit full check, or for tensors derived
+    # Internal: used after an explicit full check, or for products derived
     # from a verified algebra by an identity-preserving construction.
     algebra.identity_verified = True
     return algebra
@@ -166,50 +178,32 @@ def product(algebra: LeibnizAlgebra, x, y):
         raise DimensionMismatchError(
             f"operands must have length {n}, got {len(x)} and {len(y)}"
         )
-    acc = list(zero_vector(algebra.field, n))
-    tensor = algebra.tensor
+    acc: dict = {}
     for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = tensor[i]
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            coeff = xi * yj
-            entry = row[j]
-            for k, c in enumerate(entry):
-                if c:
-                    acc[k] = acc[k] + coeff * c
-    return tuple(acc)
+        if xi:
+            for j, coords in algebra._left[i].items():
+                yj = y[j]
+                if yj:
+                    add_scaled(acc, xi * yj, coords)
+    return to_dense(algebra.field, n, prune(algebra.field, acc))
 
 
-def _vec_bracket_basis(algebra: LeibnizAlgebra, w, i: int):
-    # [w, v_i] for a coordinate vector w.
-    n = algebra.dim
-    acc = list(zero_vector(algebra.field, n))
-    for m, wm in enumerate(w):
-        if not wm:
-            continue
-        entry = algebra.tensor[m][i]
-        for k, c in enumerate(entry):
-            if c:
-                acc[k] = acc[k] + wm * c
-    return tuple(acc)
-
-
-def _basis_bracket_vec(algebra: LeibnizAlgebra, i: int, w):
-    # [v_i, w] for a coordinate vector w.
-    n = algebra.dim
-    acc = list(zero_vector(algebra.field, n))
-    row = algebra.tensor[i]
-    for m, wm in enumerate(w):
-        if not wm:
-            continue
-        entry = row[m]
-        for k, c in enumerate(entry):
-            if c:
-                acc[k] = acc[k] + wm * c
-    return tuple(acc)
+def basis_brackets(algebra: LeibnizAlgebra, w: dict):
+    """Every nonzero [w, v_i] and [v_i, w] of a sparse vector w, as sparse
+    vectors; these span the brackets of w with the whole algebra on
+    either side."""
+    right: dict = {}   # i -> [w, v_i]
+    left: dict = {}    # i -> [v_i, w]
+    for m, wm in w.items():
+        for i, coords in algebra._left[m].items():
+            add_scaled(right.setdefault(i, {}), wm, coords)
+        for i, coords in algebra._right[m].items():
+            add_scaled(left.setdefault(i, {}), wm, coords)
+    field = algebra.field
+    for acc in (*right.values(), *left.values()):
+        v = prune(field, acc)
+        if v:
+            yield v
 
 
 def check_leibniz(algebra: LeibnizAlgebra, *, stop_early: bool = False):
@@ -221,21 +215,48 @@ def check_leibniz(algebra: LeibnizAlgebra, *, stop_early: bool = False):
     both sides are trilinear, so basis triples decide it.  With
     ``stop_early`` the scan returns at the first violation (rejection
     sampling does not need the full list).
+
+    Each term needs one nonzero product among [v_j, v_k], [v_j, v_i] and
+    [v_k, v_i], so only those triples are visited, in (j, k, i) order.
     """
     n = algebra.dim
-    tensor = algebra.tensor
+    field = algebra.field
+    left = algebra._left
+    busy = [k for k in range(n) if left[k]]
+    everything = range(n)
     violations = []
     for j in range(n):
-        row_j = tensor[j]
-        for k in range(n):
-            jk = row_j[k]
-            for i in range(n):
-                lhs = _vec_bracket_basis(algebra, jk, i)
-                t1 = _vec_bracket_basis(algebra, row_j[i], k)
-                t2 = _basis_bracket_vec(algebra, j, tensor[k][i])
-                residual = tuple(a - b - c for a, b, c in zip(lhs, t1, t2))
-                if not vec_is_zero(residual):
-                    violations.append((i, j, k, residual))
+        row_j = left[j]
+        for k in (everything if row_j else busy):
+            row_k = left[k]
+            jk = row_j.get(k)
+            if jk is not None:
+                candidates = everything
+            else:
+                candidates = sorted(row_j.keys() | row_k.keys())
+            for i in candidates:
+                acc: dict = {}
+                if jk is not None:        # [[v_j, v_k], v_i]
+                    for m, c in jk.items():
+                        coords = left[m].get(i)
+                        if coords is not None:
+                            add_scaled(acc, c, coords)
+                ji = row_j.get(i)
+                if ji is not None:        # - [[v_j, v_i], v_k]
+                    for m, c in ji.items():
+                        coords = left[m].get(k)
+                        if coords is not None:
+                            add_scaled(acc, -c, coords)
+                ki = row_k.get(i)
+                if ki is not None:        # - [v_j, [v_k, v_i]]
+                    for m, c in ki.items():
+                        coords = row_j.get(m)
+                        if coords is not None:
+                            add_scaled(acc, -c, coords)
+                residual = prune(field, acc)
+                if residual:
+                    violations.append(
+                        (i, j, k, to_dense(field, n, residual)))
                     if stop_early:
                         return violations
     if not violations:
@@ -250,25 +271,39 @@ def _ensure_leibniz(algebra: LeibnizAlgebra):
             raise NotLeibnizError(violations)
 
 
+def _close(algebra: LeibnizAlgebra, seeds: Iterable[dict]) -> Subspace:
+    # Worklist closure: every vector that enters the span has its basis
+    # brackets reduced into it once.  The vectors that entered span the
+    # ideal, so bilinearity makes that enough.
+    field = algebra.field
+    basis: dict = {}
+    queue: list = []
+
+    def admit(vectors):
+        for v in vectors:
+            rank = len(basis)
+            echelon(field, [v], basis)
+            if len(basis) > rank:
+                queue.append(v)
+
+    admit(seeds)
+    while queue:
+        admit(basis_brackets(algebra, queue.pop()))
+    return Subspace.from_echelon(field, algebra.dim, basis)
+
+
 def ideal_closure(algebra: LeibnizAlgebra, seed_vectors: Iterable) -> Subspace:
     """Smallest subspace containing the seeds and closed under bracketing
-    with basis vectors on both sides.  Rank grows at every round, so the
-    fixed point arrives after at most dim iterations."""
+    with basis vectors on both sides."""
     n = algebra.dim
-    span = Subspace.from_vectors(algebra.field, n, seed_vectors)
-    while True:
-        fresh = []
-        for w in span.rows:
-            for i in range(n):
-                left = _vec_bracket_basis(algebra, w, i)
-                if not span.contains(left):
-                    fresh.append(left)
-                right = _basis_bracket_vec(algebra, i, w)
-                if not span.contains(right):
-                    fresh.append(right)
-        if not fresh:
-            return span
-        span = span.with_vectors(fresh)
+    seeds = []
+    for v in seed_vectors:
+        if len(v) != n:
+            raise DimensionMismatchError(
+                f"seed length {len(v)} != ambient dimension {n}"
+            )
+        seeds.append(to_sparse(v))
+    return _close(algebra, seeds)
 
 
 def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:
@@ -279,25 +314,17 @@ def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:
     [v_i, v_j] + [v_j, v_i] are needed as seeds too.
     """
     _ensure_leibniz(algebra)
-    n = algebra.dim
+    field = algebra.field
+    products = algebra.products
     seeds = []
-    for i in range(n):
-        seeds.append(algebra.tensor[i][i])
-        for j in range(i + 1, n):
-            seeds.append(vec_add(algebra.tensor[i][j], algebra.tensor[j][i]))
-    return ideal_closure(algebra, seeds)
-
-
-def verify_right_annihilation(algebra: LeibnizAlgebra,
-                              subspace: Subspace) -> bool:
-    """True iff [L, subspace] = 0, checked on basis vectors times rows."""
-    if subspace.ambient_dim != algebra.dim:
-        raise DimensionMismatchError("subspace ambient dim != algebra dim")
-    for w in subspace.rows:
-        for i in range(algebra.dim):
-            if not vec_is_zero(_basis_bracket_vec(algebra, i, w)):
-                return False
-    return True
+    for (i, j), coords in products.items():
+        if i == j:
+            seeds.append(coords)
+        elif i < j or (j, i) not in products:
+            acc = dict(coords)
+            add_scaled(acc, 1, products.get((j, i), {}))
+            seeds.append(prune(field, acc))
+    return _close(algebra, seeds)
 
 
 @dataclass(frozen=True)
@@ -326,7 +353,8 @@ class BasisSplit:
     @classmethod
     def of(cls, dim: int, kernel_indices: Iterable[int]) -> "BasisSplit":
         kernel = tuple(sorted(set(kernel_indices)))
-        complement = tuple(i for i in range(dim) if i not in set(kernel))
+        members = set(kernel)
+        complement = tuple(i for i in range(dim) if i not in members)
         return cls(kernel, complement)
 
     @property
@@ -348,7 +376,7 @@ def validate_split(algebra: LeibnizAlgebra, split: BasisSplit) -> bool:
 
 @dataclass(frozen=True, eq=True)
 class MultiplicativeTable:
-    """Sparse view of a tensor whose basis products are all monomial.
+    """Sparse view of an algebra whose basis products are all monomial.
 
     entries maps (i, j) to (k, coeff) meaning [v_i, v_j] = coeff * v_k
     with coeff nonzero; absent pairs multiply to zero.
@@ -357,24 +385,24 @@ class MultiplicativeTable:
     field: FieldSpec
     labels: tuple
     entries: tuple  # sorted tuple of ((i, j), (k, coeff))
+    _lookup: dict = dc_field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookup", dict(self.entries))
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
     def as_dict(self) -> dict:
-        return dict(self.entries)
+        return dict(self._lookup)
 
     def get(self, i: int, j: int):
-        return self.as_dict().get((i, j))
+        return self._lookup.get((i, j))
 
-    def to_tensor(self):
-        n = self.dim
-        tensor = [[list(zero_vector(self.field, n)) for _ in range(n)]
-                  for _ in range(n)]
-        for (i, j), (k, coeff) in self.entries:
-            tensor[i][j][k] = coeff
-        return tuple(tuple(tuple(v) for v in row) for row in tensor)
+    def to_products(self) -> dict:
+        """The structure constants in ``LeibnizAlgebra.products`` form."""
+        return {pair: {k: coeff} for pair, (k, coeff) in self.entries}
 
 
 def to_multiplicative(algebra: LeibnizAlgebra, split: BasisSplit, *,
@@ -395,27 +423,21 @@ def to_multiplicative(algebra: LeibnizAlgebra, split: BasisSplit, *,
         )
     kernel = set(split.kernel)
     entries = []
-    n = algebra.dim
-    for i in range(n):
-        for j in range(n):
-            v = algebra.tensor[i][j]
-            support = [k for k, c in enumerate(v) if c]
-            if not support:
-                continue
-            if len(support) > 1:
-                raise NotMonomialError(
-                    i, j, f"support at coordinates {support}"
-                )
-            k = support[0]
-            if j in kernel:
-                raise ShapeViolationError(
-                    i, j, "right factor lies in the kernel part but the "
-                          "product is nonzero"
-                )
-            if i in kernel and k not in kernel:
-                raise ShapeViolationError(
-                    i, j, "product out of a kernel vector leaves the "
-                          "kernel part"
-                )
-            entries.append(((i, j), (k, v[k])))
+    for (i, j), coords in algebra.products.items():
+        if len(coords) > 1:
+            raise NotMonomialError(
+                i, j, f"support at coordinates {list(coords)}"
+            )
+        ((k, c),) = coords.items()
+        if j in kernel:
+            raise ShapeViolationError(
+                i, j, "right factor lies in the kernel part but the "
+                      "product is nonzero"
+            )
+        if i in kernel and k not in kernel:
+            raise ShapeViolationError(
+                i, j, "product out of a kernel vector leaves the "
+                      "kernel part"
+            )
+        entries.append(((i, j), (k, c)))
     return MultiplicativeTable(algebra.field, algebra.labels, tuple(entries))

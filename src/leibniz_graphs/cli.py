@@ -17,10 +17,9 @@ import sys
 from typing import Optional
 
 from . import corpus as corpus_mod
-from .algebra import leibniz_kernel, to_multiplicative
+from .algebra import to_multiplicative
 from .equivalence import (
     LinearMap,
-    change_basis,
     decomposition_equivalence,
     induced_graph_isomorphism,
     is_automorphism,
@@ -54,6 +53,7 @@ from .structure import (
     cross_validate,
     decompose,
     generated_ideal,
+    weak_division_json,
 )
 
 EXIT_OK = 0
@@ -217,21 +217,8 @@ def _cmd_minimal(args) -> int:
 def _cmd_weakdiv(args) -> int:
     algebra, split, table = _load_algebra(args.input)
     holds, violations = check_weak_division(algebra, table, split)
-    entries = dict(table.entries)
-    _emit(dumps({
-        "holds": holds,
-        "violations": [
-            {
-                "product": {
-                    "l": algebra.labels[i], "r": algebra.labels[j],
-                    "out": algebra.labels[k],
-                    "c": scalar_to_json(entries[(i, j)][1]),
-                },
-                "missing_member": algebra.labels[member],
-            }
-            for (i, j), k, member in violations
-        ],
-    }), args.output)
+    _emit(dumps(weak_division_json(algebra, table, holds, violations)),
+          args.output)
     return EXIT_OK if holds else EXIT_FALSE
 
 

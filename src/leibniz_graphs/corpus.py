@@ -27,7 +27,7 @@ from .errors import (
     InternalInvariantViolation,
     UnknownExampleError,
 )
-from .scalars import FieldSpec, Scalar, zero_vector
+from .scalars import FieldSpec
 
 __all__ = [
     "CorpusEntry",
@@ -148,7 +148,7 @@ def _relabel_disjoint(labels_a, labels_b):
 
 def direct_sum(a: LeibnizAlgebra, split_a: BasisSplit,
                b: LeibnizAlgebra, split_b: BasisSplit):
-    """Orthogonal direct sum: block-diagonal tensor, concatenated splits.
+    """Orthogonal direct sum: block-diagonal products, concatenated splits.
 
     Colliding labels from the second summand get primes appended.  The
     result is trusted without re-checking when both summands are verified:
@@ -160,53 +160,40 @@ def direct_sum(a: LeibnizAlgebra, split_a: BasisSplit,
     na, nb = a.dim, b.dim
     n = na + nb
     labels = tuple(a.labels) + _relabel_disjoint(a.labels, b.labels)
-    zero = zero_vector(field, n)
-    tensor = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < na and j < na:
-                v = a.tensor[i][j]
-                row.append(tuple(v) + zero_vector(field, nb))
-            elif i >= na and j >= na:
-                v = b.tensor[i - na][j - na]
-                row.append(zero_vector(field, na) + tuple(v))
-            else:
-                row.append(zero)
-        tensor.append(tuple(row))
+    products = dict(a.products)
+    for (i, j), coords in b.products.items():
+        products[(i + na, j + na)] = {k + na: c for k, c in coords.items()}
     kernel = tuple(split_a.kernel) + tuple(k + na for k in split_b.kernel)
     check = not (a.identity_verified and b.identity_verified)
-    out = LeibnizAlgebra(field, labels, tuple(tensor), check=check)
+    out = LeibnizAlgebra(field, labels, products, check=check)
     if not check:
         _mark_verified(out)
     return out, BasisSplit.of(n, kernel)
 
 
 def rescale_basis(algebra: LeibnizAlgebra, split: BasisSplit,
-                  diag: Sequence[Scalar]):
+                  diag: Sequence):
     """Replace each basis vector v_i by diag[i] * v_i.
 
-    The tensor transforms by c'[i][j][k] = c[i][j][k] * d_i * d_j / d_k;
-    the identity, the kernel subspace, and the graph are all unchanged.
+    The structure constants transform by c'[i][j][k] = c[i][j][k] * d_i *
+    d_j / d_k; the identity, the kernel subspace, and the graph are all
+    unchanged.
     """
     n = algebra.dim
     if len(diag) != n:
         raise ValueError("need one scale per basis vector")
-    scales = [algebra.field.scalar(d) for d in diag]
+    field = algebra.field
+    scales = [field.scalar(d) for d in diag]
     if not all(scales):
         raise ValueError("scales must be nonzero")
-    inv = [d.inverse() for d in scales]
-    tensor = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            factor = scales[i] * scales[j]
-            row.append(tuple(
-                c * factor * inv[k] if c else c
-                for k, c in enumerate(algebra.tensor[i][j])
-            ))
-        tensor.append(tuple(row))
-    out = LeibnizAlgebra(algebra.field, algebra.labels, tuple(tensor),
+    inv = [field.inv(d) for d in scales]
+    norm = field.normalise
+    products = {
+        (i, j): {k: norm(c * scales[i] * scales[j] * inv[k])
+                 for k, c in coords.items()}
+        for (i, j), coords in algebra.products.items()
+    }
+    out = LeibnizAlgebra(field, algebra.labels, products,
                          check=not algebra.identity_verified)
     if algebra.identity_verified:
         _mark_verified(out)
@@ -225,14 +212,12 @@ def permute_basis(algebra: LeibnizAlgebra, split: BasisSplit,
         raise ValueError("order must be a permutation of range(dim)")
     position = {old: new for new, old in enumerate(order)}
     labels = tuple(algebra.labels[o] for o in order)
-    tensor = tuple(
-        tuple(
-            tuple(algebra.tensor[a][b][k] for k in order)
-            for b in order
-        )
-        for a in order
-    )
-    out = LeibnizAlgebra(algebra.field, labels, tensor,
+    products = {
+        (position[a], position[b]): {position[k]: c
+                                     for k, c in coords.items()}
+        for (a, b), coords in algebra.products.items()
+    }
+    out = LeibnizAlgebra(algebra.field, labels, products,
                          check=not algebra.identity_verified)
     if algebra.identity_verified:
         _mark_verified(out)
@@ -262,8 +247,7 @@ def fuzz_algebra(seed, dim: int = 3,
     kset = set(kernel)
     comp = [j for j in range(dim) if j not in kset]
     labels = tuple(f"v{i}" for i in range(dim))
-    tensor = [[list(zero_vector(field, dim)) for _ in range(dim)]
-              for _ in range(dim)]
+    products = {}
     for i in range(dim):
         for j in comp:
             if i in kset:
@@ -277,8 +261,8 @@ def fuzz_algebra(seed, dim: int = 3,
             if rng.random() < 0.3:
                 k = rng.choice(targets)
                 coeff = rng.randrange(1, p)
-                tensor[i][j][k] = field.scalar(coeff)
-    algebra = LeibnizAlgebra(field, labels, tensor, check=False)
+                products[(i, j)] = {k: coeff}
+    algebra = LeibnizAlgebra(field, labels, products, check=False)
     if check_leibniz(algebra, stop_early=True):
         return None
     split = BasisSplit.of(dim, kernel)
@@ -311,8 +295,7 @@ def fuzz_instances(seed, count: int, max_dim: int = 4,
             continue
         algebra, split = inst
         if len(out) < count:
-            diag = [field.scalar(rng.randrange(1, field.p))
-                    for _ in range(algebra.dim)]
+            diag = [rng.randrange(1, field.p) for _ in range(algebra.dim)]
             out.append(rescale_basis(algebra, split, diag))
         if len(out) < count:
             order = list(range(algebra.dim))

@@ -8,10 +8,10 @@ searches for isomorphisms; these are certificate checkers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
-from .algebra import LeibnizAlgebra, product
+from .algebra import LeibnizAlgebra
 from .errors import (
     BadBijectionError,
     DimensionMismatchError,
@@ -21,7 +21,15 @@ from .errors import (
     SingularMapError,
 )
 from .graphs import DiGraph
-from .scalars import FieldSpec, Scalar, rref, unit_vector, zero_vector
+from .scalars import (
+    FieldSpec,
+    add_scaled,
+    prune,
+    rref,
+    to_dense,
+    to_sparse,
+    unit_vector,
+)
 from .structure import Decomposition
 
 __all__ = [
@@ -39,7 +47,11 @@ class LinearMap:
     """A square matrix over an exact field; column j is the image of v_j."""
 
     field: FieldSpec
-    matrix: tuple  # rows, each a tuple of Scalars
+    matrix: tuple  # rows, each a tuple of field values
+    # nonzero entries by row, {j: matrix[a][j]}, and by column,
+    # {a: matrix[a][j]}; derived from matrix
+    _rows: tuple = dc_field(init=False, compare=False, repr=False)
+    _cols: tuple = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -48,10 +60,14 @@ class LinearMap:
             if len(row) != n:
                 raise DimensionMismatchError("matrix must be square")
             for s in row:
-                if not isinstance(s, Scalar) or s.field != self.field:
+                if not self.field.is_element(s):
                     raise FieldMismatchError("matrix entry of a foreign field")
             rows.append(tuple(row))
         object.__setattr__(self, "matrix", tuple(rows))
+        object.__setattr__(self, "_rows",
+                           tuple(to_sparse(row) for row in rows))
+        object.__setattr__(self, "_cols",
+                           tuple(to_sparse(col) for col in zip(*rows)))
 
     @property
     def dim(self) -> int:
@@ -88,46 +104,46 @@ class LinearMap:
     def column(self, j: int):
         return tuple(self.matrix[i][j] for i in range(self.dim))
 
+    def _apply_sparse(self, x: dict) -> dict:
+        acc: dict = {}
+        for j, xj in x.items():
+            add_scaled(acc, xj, self._cols[j])
+        return prune(self.field, acc)
+
     def apply(self, x):
         """Matrix-vector product: the image of a coordinate vector."""
         if len(x) != self.dim:
             raise DimensionMismatchError("vector length != map dimension")
-        acc = list(zero_vector(self.field, self.dim))
-        for j, xj in enumerate(x):
-            if not xj:
-                continue
-            for i in range(self.dim):
-                m = self.matrix[i][j]
-                if m:
-                    acc[i] = acc[i] + xj * m
-        return tuple(acc)
+        return to_dense(self.field, self.dim, self._apply_sparse(to_sparse(x)))
 
     def is_invertible(self) -> bool:
         rows, _p = rref(self.field, self.matrix, self.dim)
         return len(rows) == self.dim
 
     def inverse(self) -> "LinearMap":
-        """Gauss-Jordan inverse; raises SingularMapError when singular."""
+        """The inverse, read off the row echelon form of [M | I]; raises
+        SingularMapError when M is singular."""
         n = self.dim
-        aug = [
-            list(self.matrix[i]) + list(unit_vector(self.field, n, i))
-            for i in range(n)
-        ]
-        r = 0
-        for c in range(n):
-            pivot = next((k for k in range(r, n) if aug[k][c]), None)
-            if pivot is None:
-                raise SingularMapError("matrix is singular")
-            aug[r], aug[pivot] = aug[pivot], aug[r]
-            inv = aug[r][c].inverse()
-            aug[r] = [x * inv for x in aug[r]]
-            for k in range(n):
-                if k != r and aug[k][c]:
-                    f = aug[k][c]
-                    aug[k] = [a - f * b for a, b in zip(aug[k], aug[r])]
-            r += 1
-        rows = tuple(tuple(aug[i][n:]) for i in range(n))
-        return LinearMap(self.field, rows)
+        augmented = [row + unit_vector(self.field, n, i)
+                     for i, row in enumerate(self.matrix)]
+        rows, pivots = rref(self.field, augmented, 2 * n)
+        if pivots[:n] != tuple(range(n)):
+            raise SingularMapError("matrix is singular")
+        return LinearMap(self.field, tuple(row[n:] for row in rows))
+
+
+def _image_products(algebra: LeibnizAlgebra, f: LinearMap) -> dict:
+    """{(i, j): [f(v_i), f(v_j)]} over the nonzero brackets, unnormalised.
+
+    [f(v_i), f(v_j)] = sum over products [v_a, v_b] of f_ai f_bj [v_a, v_b],
+    so only nonzero products and nonzero matrix entries are visited."""
+    out: dict = {}
+    rows = f._rows
+    for (a, b), coords in algebra.products.items():
+        for i, fa in rows[a].items():
+            for j, fb in rows[b].items():
+                add_scaled(out.setdefault((i, j), {}), fa * fb, coords)
+    return out
 
 
 def is_automorphism(algebra: LeibnizAlgebra, f: LinearMap):
@@ -143,14 +159,15 @@ def is_automorphism(algebra: LeibnizAlgebra, f: LinearMap):
         raise FieldMismatchError("map field != algebra field")
     if not f.is_invertible():
         raise SingularMapError("candidate automorphism is singular")
-    n = algebra.dim
-    columns = [f.column(j) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = product(algebra, columns[i], columns[j])
-            rhs = f.apply(algebra.tensor[i][j])
-            if lhs != rhs:
-                return False, (i, j)
+    field = algebra.field
+    images = _image_products(algebra, f)
+    failing = [
+        pair for pair in images.keys() | algebra.products.keys()
+        if prune(field, images.get(pair, {}))
+        != f._apply_sparse(algebra.products.get(pair, {}))
+    ]
+    if failing:
+        return False, min(failing)
     return True, None
 
 
@@ -166,13 +183,11 @@ def maps_basis_to_basis(f: LinearMap,
     one = f.field.one
     bijection: dict = {}
     hit = set()
-    for j in range(n):
-        col = f.column(j)
-        support = [i for i, c in enumerate(col) if c]
-        if len(support) != 1 or col[support[0]] != one:
+    for j, col in enumerate(f._cols):
+        if len(col) != 1:
             return None
-        i = support[0]
-        if i in hit:
+        ((i, c),) = col.items()
+        if c != one or i in hit:
             return None
         hit.add(i)
         bijection[j] = i
@@ -192,18 +207,13 @@ def change_basis(algebra: LeibnizAlgebra, f: LinearMap,
     if f.dim != algebra.dim:
         raise DimensionMismatchError("map dimension != algebra dimension")
     f_inv = f.inverse()  # SingularMapError if not invertible
-    n = algebra.dim
-    columns = [f.column(j) for j in range(n)]
-    tensor = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            w = product(algebra, columns[i], columns[j])
-            row.append(f_inv.apply(w))
-        tensor.append(tuple(row))
+    products = {
+        pair: f_inv._apply_sparse(bracket)
+        for pair, bracket in _image_products(algebra, f).items()
+    }
     labels = tuple(new_labels) if new_labels is not None else algebra.labels
     try:
-        return LeibnizAlgebra(algebra.field, labels, tuple(tensor), check=True)
+        return LeibnizAlgebra(algebra.field, labels, products, check=True)
     except NotLeibnizError as exc:  # pragma: no cover - guards a theorem
         raise InternalInvariantViolation(
             "change of basis broke the Leibniz identity"

@@ -8,7 +8,7 @@ Coefficients are discarded, duplicates collapse, loops are kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Literal
 
 from .algebra import BasisSplit, MultiplicativeTable
@@ -39,6 +39,7 @@ class DiGraph:
     vertices: tuple  # strictly increasing vertex indices
     labels: tuple    # labels[t] names vertices[t]
     edges: frozenset  # pairs (a, b) of vertex indices
+    _label: dict = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vs = tuple(self.vertices)
@@ -53,6 +54,7 @@ class DiGraph:
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "_label", dict(zip(vs, self.labels)))
 
     @property
     def n(self) -> int:
@@ -60,8 +62,8 @@ class DiGraph:
 
     def label_of(self, v: int) -> str:
         try:
-            return self.labels[self.vertices.index(v)]
-        except ValueError:
+            return self._label[v]
+        except KeyError:
             raise UnknownVertexError(f"vertex {v} not in graph") from None
 
     def sorted_edges(self) -> list:
@@ -109,15 +111,19 @@ class ComponentPartition:
 
     kind: Literal["undirected", "strong"]
     assignment: tuple  # sorted tuple of (vertex, component_id)
+    _ids: dict = dc_field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_ids", dict(self.assignment))
 
     def id_of(self, v: int) -> int:
-        for vertex, cid in self.assignment:
-            if vertex == v:
-                return cid
-        raise UnknownVertexError(f"vertex {v} not in partition")
+        try:
+            return self._ids[v]
+        except KeyError:
+            raise UnknownVertexError(f"vertex {v} not in partition") from None
 
     def as_dict(self) -> dict:
-        return dict(self.assignment)
+        return dict(self._ids)
 
     def classes(self) -> tuple:
         groups: dict = {}

@@ -32,7 +32,7 @@ from .algebra import (
     validate_split,
 )
 from .errors import InputDocumentError, InvalidSplitError, NotLeibnizError
-from .scalars import FieldSpec, Scalar, zero_vector
+from .scalars import FieldSpec
 
 __all__ = [
     "ALGEBRA_SCHEMA_VERSION",
@@ -83,13 +83,14 @@ def field_from_json(value) -> FieldSpec:
     raise InputDocumentError(f"unrecognized field {value!r}", "$.field")
 
 
-def scalar_to_json(s: Scalar):
-    if s.field.is_rationals:
-        return str(s.value)
-    return s.value
+def scalar_to_json(value):
+    """A field value in document form: a string over Q, an int over GF(p)."""
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
 
 
-def scalar_from_json(field: FieldSpec, value, path: str = "$") -> Scalar:
+def scalar_from_json(field: FieldSpec, value, path: str = "$"):
     if field.is_rationals:
         if isinstance(value, bool):
             raise InputDocumentError("boolean is not a scalar", path)
@@ -148,8 +149,7 @@ def algebra_from_json(doc):
     labels = tuple(doc["labels"])
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
-    tensor = [[list(zero_vector(field, n)) for _ in range(n)]
-              for _ in range(n)]
+    products = {}
     seen = {}
     for pos, entry in enumerate(doc["products"]):
         path = f"$.products[{pos}]"
@@ -170,8 +170,8 @@ def algebra_from_json(doc):
                 f"first at $.products[{seen[pair]}]", path
             )
         seen[pair] = pos
-        tensor[pair[0]][pair[1]][index[entry["out"]]] = coeff
-    algebra = LeibnizAlgebra(field, labels, tensor, check=False)
+        products[pair] = {index[entry["out"]]: coeff}
+    algebra = LeibnizAlgebra(field, labels, products, check=False)
     violations = check_leibniz(algebra)
     if violations:
         raise NotLeibnizError(violations)

@@ -1,8 +1,12 @@
-"""Exact scalars over the rationals or a prime field, plus row-echelon
+"""Exact field values over the rationals or a prime field, plus row-echelon
 linear algebra (spans, membership, rank).
 
-No floating point anywhere.  Rational values are arbitrary-precision
-Fraction instances, prime-field values are canonical residues 0..p-1.
+No floating point anywhere, and no wrapper objects: a value of Q is a
+plain ``Fraction``, a value of GF(p) is a plain ``int`` residue 0..p-1.
+``FieldSpec`` owns the canonical form and the arithmetic on these values.
+Subspaces keep their rows both as dense tuples (the public form) and as
+sparse ``{column: value}`` dicts, so membership tests cost the number of
+nonzero entries they touch rather than the ambient dimension.
 """
 
 from __future__ import annotations
@@ -16,16 +20,12 @@ from .errors import DimensionMismatchError, FieldMismatchError
 
 __all__ = [
     "FieldSpec",
-    "Scalar",
     "Subspace",
     "rref",
-    "scalar_arith",
     "unit_vector",
     "vec_add",
     "vec_is_zero",
-    "vec_neg",
     "vec_scale",
-    "vec_sub",
     "zero_vector",
 ]
 
@@ -56,7 +56,13 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The base field: the rationals when p is None, else GF(p)."""
+    """The base field: the rationals when p is None, else GF(p).
+
+    Values are canonical raw Python numbers: ``Fraction`` over Q, ``int``
+    in 0..p-1 over GF(p).  Sums and products of canonical values become
+    canonical again through ``normalise``; the other methods return
+    canonical values directly.
+    """
 
     p: int | None = None
 
@@ -80,122 +86,58 @@ class FieldSpec:
     def is_rationals(self) -> bool:
         return self.p is None
 
-    def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, or Scalar of this field into a Scalar."""
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatchError(
-                    f"scalar belongs to {value.field}, not {self}"
-                )
-            return value
-        return Scalar(self, value)
+    def scalar(self, value):
+        """Coerce an int or Fraction into this field's canonical value.
+
+        Over GF(p) a Fraction must be an integer; anything else raises
+        ValueError."""
+        if self.p is None:
+            return Fraction(value)
+        if isinstance(value, Fraction):
+            if value.denominator != 1:
+                raise ValueError(f"non-integer value {value} in {self}")
+            value = value.numerator
+        return int(value) % self.p
+
+    def is_element(self, value) -> bool:
+        """True iff value is already a canonical value of this field."""
+        if self.p is None:
+            return type(value) is Fraction
+        return type(value) is int and 0 <= value < self.p
+
+    def normalise(self, value):
+        """Canonical form of an exact sum or product of canonical values."""
+        return value if self.p is None else value % self.p
+
+    def add(self, a, b):
+        return self.normalise(a + b)
+
+    def sub(self, a, b):
+        return self.normalise(a - b)
+
+    def mul(self, a, b):
+        return self.normalise(a * b)
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError(f"inverse of zero in {self}")
+        if self.p is None:
+            return 1 / a
+        return pow(a, -1, self.p)
 
     @property
-    def zero(self) -> "Scalar":
-        return _cached_scalar(self, 0)
+    def zero(self):
+        return Fraction(0) if self.p is None else 0
 
     @property
-    def one(self) -> "Scalar":
-        return _cached_scalar(self, 1)
+    def one(self):
+        return Fraction(1) if self.p is None else 1
 
     def __str__(self) -> str:
         return "Q" if self.p is None else f"GF({self.p})"
 
 
-class Scalar:
-    """An exact element of a FieldSpec, kept in canonical form."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value):
-        if field.p is None:
-            value = Fraction(value)
-        else:
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise ValueError(
-                        f"non-integer value {value} in {field}"
-                    )
-                value = value.numerator
-            value = int(value) % field.p
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("Scalar is immutable")
-
-    def _coerce(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"cannot combine {self.field} and {other.field} scalars"
-            )
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.field, self.value + other.value)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.field, self.value - other.value)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.field, self.value * other.value)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __neg__(self):
-        return Scalar(self.field, -self.value)
-
-    def inverse(self) -> "Scalar":
-        if not self.value:
-            raise ZeroDivisionError(f"inverse of zero in {self.field}")
-        if self.field.p is None:
-            return Scalar(self.field, 1 / Fraction(self.value))
-        return Scalar(self.field, pow(self.value, -1, self.field.p))
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.field == other.field and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def __repr__(self) -> str:
-        return f"Scalar({self.field}, {self.value})"
-
-
-@lru_cache(maxsize=None)
-def _cached_scalar(field: FieldSpec, value: int) -> Scalar:
-    return Scalar(field, value)
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Apply one of 'add', 'sub', 'mul', 'div' to two same-field scalars."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown scalar operation {op!r}")
-
-
-Vector = tuple  # tuple[Scalar, ...]; kept loose to avoid generic noise
+Vector = tuple  # tuple of canonical field values; kept loose
 
 
 @lru_cache(maxsize=None)
@@ -210,65 +152,112 @@ def unit_vector(field: FieldSpec, n: int, i: int) -> Vector:
     return tuple(field.one if k == i else field.zero for k in range(n))
 
 
-def vec_add(x: Vector, y: Vector) -> Vector:
+def vec_add(field: FieldSpec, x: Vector, y: Vector) -> Vector:
     if len(x) != len(y):
         raise DimensionMismatchError(f"vector lengths {len(x)} != {len(y)}")
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(field.add(a, b) for a, b in zip(x, y))
 
 
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    if len(x) != len(y):
-        raise DimensionMismatchError(f"vector lengths {len(x)} != {len(y)}")
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_neg(x: Vector) -> Vector:
-    return tuple(-a for a in x)
-
-
-def vec_scale(c: Scalar, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
+def vec_scale(field: FieldSpec, c, x: Vector) -> Vector:
+    return tuple(field.mul(c, a) for a in x)
 
 
 def vec_is_zero(x: Vector) -> bool:
     return not any(x)
 
 
-def rref(field: FieldSpec, rows: Iterable[Sequence[Scalar]], ambient_dim: int):
-    """Reduced row echelon form over an exact field.
+def to_sparse(v: Sequence) -> dict:
+    """The nonzero coordinates of a dense vector, as {index: value}."""
+    return {k: x for k, x in enumerate(v) if x}
 
-    Returns (rows, pivots): zero rows dropped, each pivot normalized to 1,
-    pivot columns strictly increasing, and each pivot the only nonzero
-    entry in its column.  The output is a canonical form of the row span.
+
+def to_dense(field: FieldSpec, n: int, v: dict) -> Vector:
+    """The dense coordinate tuple of a sparse vector."""
+    zero = field.zero
+    return tuple(v.get(k, zero) for k in range(n))
+
+
+def add_scaled(acc: dict, coeff, v: dict) -> None:
+    """acc += coeff * v on sparse vectors, leaving values unnormalised."""
+    for k, x in v.items():
+        acc[k] = acc.get(k, 0) + coeff * x
+
+
+def prune(field: FieldSpec, v: dict) -> dict:
+    """A sparse vector with every value normalised and the zeros dropped."""
+    norm = field.normalise
+    out = {}
+    for k, x in v.items():
+        x = norm(x)
+        if x:
+            out[k] = x
+    return out
+
+
+def _eliminate(field: FieldSpec, v: dict, basis: dict) -> dict:
+    """The sparse vector v reduced against fully reduced rows.
+
+    ``basis`` maps each pivot column to its row as a sparse dict with
+    pivot entry one and no entry at any other pivot column, so clearing
+    one pivot never disturbs another and v's pivots can be listed before
+    the elimination starts.  v is consumed."""
+    for c in [c for c in v if c in basis]:
+        add_scaled(v, -v[c], basis[c])
+    return prune(field, v)
+
+
+def echelon(field: FieldSpec, vectors: Iterable[dict], basis=None) -> dict:
+    """Fully reduced row echelon form of sparse vectors, as {pivot: row}.
+
+    With ``basis`` given, the vectors are reduced into it (in place).
+    Each new row has its leading entry scaled to one and its pivot
+    column cleared from the other rows, so all rows stay fully reduced.
     """
-    work = []
+    basis = {} if basis is None else basis
+    for v in vectors:
+        v = _eliminate(field, dict(v), basis)
+        if not v:
+            continue
+        c = min(v)
+        inv = field.inv(v[c])
+        row = prune(field, {k: x * inv for k, x in v.items()})
+        for pivot, other in basis.items():
+            if c in other:
+                add_scaled(other, -other[c], row)
+                basis[pivot] = prune(field, other)
+        basis[c] = row
+    return basis
+
+
+def _check_rows(field: FieldSpec, rows, ambient_dim: int) -> list:
+    out = []
     for row in rows:
         if len(row) != ambient_dim:
             raise DimensionMismatchError(
                 f"row length {len(row)} != ambient dimension {ambient_dim}"
             )
         for entry in row:
-            if not isinstance(entry, Scalar) or entry.field != field:
-                raise FieldMismatchError("row entry not a scalar of the field")
-        work.append(list(row))
-    pivots = []
-    r = 0
-    for c in range(ambient_dim):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+            if not field.is_element(entry):
+                raise FieldMismatchError("row entry not a value of the field")
+        out.append(to_sparse(row))
+    return out
+
+
+def _dense_rows(field: FieldSpec, ambient_dim: int, basis: dict):
+    pivots = tuple(sorted(basis))
+    return (tuple(to_dense(field, ambient_dim, basis[c]) for c in pivots),
+            pivots)
+
+
+def rref(field: FieldSpec, rows: Iterable[Sequence], ambient_dim: int):
+    """Reduced row echelon form over an exact field.
+
+    Returns (rows, pivots): zero rows dropped, each pivot normalized to 1,
+    pivot columns strictly increasing, and each pivot the only nonzero
+    entry in its column.  The output is a canonical form of the row span.
+    """
+    return _dense_rows(field, ambient_dim,
+                       echelon(field, _check_rows(field, rows, ambient_dim)))
 
 
 @dataclass(frozen=True)
@@ -279,6 +268,8 @@ class Subspace:
     ambient_dim: int
     rows: tuple = ()
     pivots: tuple = dc_field(default=(), compare=False)
+    # pivot column -> that row's nonzero entries; derived from rows
+    _basis: dict = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.pivots) != len(self.rows):
@@ -290,12 +281,21 @@ class Subspace:
                     raise ValueError("zero row in RREF subspace")
                 derived.append(lead)
             object.__setattr__(self, "pivots", tuple(derived))
+        object.__setattr__(self, "_basis", {
+            c: to_sparse(row) for c, row in zip(self.pivots, self.rows)
+        })
 
     @classmethod
     def from_vectors(cls, field: FieldSpec, ambient_dim: int,
                      vectors: Iterable[Vector]) -> "Subspace":
         rows, pivots = rref(field, vectors, ambient_dim)
         return cls(field, ambient_dim, rows, pivots)
+
+    @classmethod
+    def from_echelon(cls, field: FieldSpec, ambient_dim: int,
+                     basis: dict) -> "Subspace":
+        """The subspace spanned by the rows of an ``echelon`` result."""
+        return cls(field, ambient_dim, *_dense_rows(field, ambient_dim, basis))
 
     @classmethod
     def from_basis_indices(cls, field: FieldSpec, ambient_dim: int,
@@ -313,26 +313,30 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
+    def sparse_rows(self):
+        """The rows as sparse {column: value} dicts, in pivot order."""
+        return self._basis.values()
+
     def reduce(self, v: Vector) -> Vector:
         """Eliminate v against the RREF rows; zero result means membership."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError(
                 f"vector length {len(v)} != ambient {self.ambient_dim}"
             )
-        out = list(v)
-        for row, c in zip(self.rows, self.pivots):
-            f = out[c]
-            if f:
-                out = [a - f * b for a, b in zip(out, row)]
-        return tuple(out)
+        return to_dense(self.field, self.ambient_dim,
+                        _eliminate(self.field, to_sparse(v), self._basis))
 
     def contains(self, v: Vector) -> bool:
         return vec_is_zero(self.reduce(v))
 
+    def contains_sparse(self, v: dict) -> bool:
+        """Membership of a sparse vector {index: nonzero value}."""
+        return not _eliminate(self.field, dict(v), self._basis)
+
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
-        return all(self.contains(row) for row in other.rows)
+        return all(self.contains_sparse(row) for row in other.sparse_rows())
 
     def with_vectors(self, vectors: Iterable[Vector]) -> "Subspace":
         return Subspace.from_vectors(
@@ -341,7 +345,6 @@ class Subspace:
 
     def basis_members(self) -> tuple:
         """Indices i whose unit vector lies in the subspace."""
-        return tuple(
-            i for i in range(self.ambient_dim)
-            if self.contains(unit_vector(self.field, self.ambient_dim, i))
-        )
+        one = self.field.one
+        return tuple(i for i in range(self.ambient_dim)
+                     if self.contains_sparse({i: one}))

@@ -24,8 +24,8 @@ from .algebra import (
     BasisSplit,
     LeibnizAlgebra,
     MultiplicativeTable,
+    basis_brackets,
     ideal_closure,
-    product,
     to_multiplicative,
 )
 from .errors import (
@@ -42,7 +42,7 @@ from .graphs import (
     reachable_from,
     undirected_components,
 )
-from .scalars import Subspace, unit_vector, vec_is_zero
+from .scalars import Subspace, vec_is_zero
 
 __all__ = [
     "Decomposition",
@@ -59,6 +59,7 @@ __all__ = [
     "reachability_members",
     "restrict_to_indices",
     "simplicity_necessary",
+    "weak_division_json",
 ]
 
 ENUM_BOUND_ENV = "LEIBNIZ_GRAPHS_ENUM_BOUND"
@@ -83,15 +84,9 @@ def is_ideal(algebra: LeibnizAlgebra, subspace: Subspace) -> bool:
     subspace for every spanning row s and every basis vector v_i."""
     if subspace.ambient_dim != algebra.dim:
         raise DimensionMismatchError("subspace ambient dim != algebra dim")
-    n = algebra.dim
-    for s in subspace.rows:
-        for i in range(n):
-            e = algebra.unit(i)
-            if not subspace.contains(product(algebra, s, e)):
-                return False
-            if not subspace.contains(product(algebra, e, s)):
-                return False
-    return True
+    return all(subspace.contains_sparse(v)
+               for s in subspace.sparse_rows()
+               for v in basis_brackets(algebra, s))
 
 
 def generated_ideal(algebra: LeibnizAlgebra, vector) -> Subspace:
@@ -152,18 +147,18 @@ def decompose(algebra: LeibnizAlgebra, table: MultiplicativeTable,
             )
         labels = tuple(algebra.labels[v] for v in group)
         parts.append(DecompositionPart(min(group), group, labels, subspace))
-    for a_idx, part_a in enumerate(parts):
-        for part_b in parts[a_idx + 1:]:
-            for i in part_a.vertices:
-                for j in part_b.vertices:
-                    ij = product(algebra, algebra.unit(i), algebra.unit(j))
-                    ji = product(algebra, algebra.unit(j), algebra.unit(i))
-                    if not (vec_is_zero(ij) and vec_is_zero(ji)):
-                        raise InternalInvariantViolation(
-                            f"components {part_a.vertices} and "
-                            f"{part_b.vertices} are not orthogonal at "
-                            f"({i},{j})"
-                        )
+    # Every cross-component basis product must vanish; report the first
+    # offending pair in part order.
+    part_of = {v: t for t, part in enumerate(parts) for v in part.vertices}
+    crossing = [min((part_of[i], part_of[j], i, j),
+                    (part_of[j], part_of[i], j, i))
+                for i, j in algebra.products if part_of[i] != part_of[j]]
+    if crossing:
+        a_idx, b_idx, i, j = min(crossing)
+        raise InternalInvariantViolation(
+            f"components {parts[a_idx].vertices} and "
+            f"{parts[b_idx].vertices} are not orthogonal at ({i},{j})"
+        )
     return Decomposition(tuple(sorted(parts, key=lambda p: p.component_id)))
 
 
@@ -175,22 +170,18 @@ def restrict_to_indices(algebra: LeibnizAlgebra, split: BasisSplit,
     idx = tuple(sorted(indices))
     pos = {v: t for t, v in enumerate(idx)}
     m = len(idx)
-    zero = algebra.field.zero
-    tensor = []
-    for a in idx:
-        row = []
-        for b in idx:
-            full = algebra.tensor[a][b]
-            for k, c in enumerate(full):
-                if c and k not in pos:
-                    raise ValueError(
-                        f"product ({a},{b}) leaves the index set; "
-                        "restriction is not a subalgebra"
-                    )
-            row.append(tuple(full[k] if k in pos else zero for k in idx))
-        tensor.append(tuple(row))
+    products = {}
+    for (a, b), coords in algebra.products.items():
+        if a in pos and b in pos:
+            if any(k not in pos for k in coords):
+                raise ValueError(
+                    f"product ({a},{b}) leaves the index set; "
+                    "restriction is not a subalgebra"
+                )
+            products[(pos[a], pos[b])] = {pos[k]: c
+                                          for k, c in coords.items()}
     labels = tuple(algebra.labels[v] for v in idx)
-    sub = LeibnizAlgebra(algebra.field, labels, tuple(tensor), check=True)
+    sub = LeibnizAlgebra(algebra.field, labels, products, check=True)
     sub_split = BasisSplit.of(m, (pos[v] for v in idx if v in set(split.kernel)))
     return sub, sub_split
 
@@ -423,13 +414,35 @@ def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
     }
 
 
+def weak_division_json(algebra: LeibnizAlgebra, table: MultiplicativeTable,
+                       holds: bool, violations) -> dict:
+    """The JSON form of a check_weak_division result: each violation
+    names its product and the factor missing from the product's ideal."""
+    from .jsonio import scalar_to_json
+
+    labels = algebra.labels
+    return {
+        "holds": holds,
+        "violations": [
+            {
+                "product": {
+                    "l": labels[i], "r": labels[j], "out": labels[k],
+                    "c": scalar_to_json(table.get(i, j)[1]),
+                },
+                "missing_member": labels[member],
+            }
+            for (i, j), k, member in violations
+        ],
+    }
+
+
 def analysis_report(algebra: LeibnizAlgebra, split: BasisSplit, *,
                     oracle: Optional[bool] = None,
                     bound: Optional[int] = None) -> dict:
     """One JSON-ready dictionary with every headline fact about the
     algebra.  Key order is fixed and arrays are sorted, so serialization
     is byte-stable."""
-    from .jsonio import field_to_json, scalar_to_json
+    from .jsonio import field_to_json
 
     table = to_multiplicative(algebra, split, validate=False)
     graph = build_graph(table, split)
@@ -492,21 +505,8 @@ def analysis_report(algebra: LeibnizAlgebra, split: BasisSplit, *,
         "components": [
             [algebra.labels[v] for v in group] for group in components
         ],
-        "weak_division": {
-            "holds": division,
-            "violations": [
-                {
-                    "product": {
-                        "l": algebra.labels[i],
-                        "r": algebra.labels[j],
-                        "out": algebra.labels[k],
-                        "c": scalar_to_json(dict(table.entries)[(i, j)][1]),
-                    },
-                    "missing_member": algebra.labels[member],
-                }
-                for (i, j), k, member in violations
-            ],
-        },
+        "weak_division": weak_division_json(algebra, table, division,
+                                            violations),
         "minimality": {
             "minimal": verdict.minimal,
             "strongly_connected_kernel": verdict.strong_kernel,

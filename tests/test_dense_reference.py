@@ -1,0 +1,170 @@
+"""The sparse core against the dense reference in ``dense_reference``.
+
+The reference holds a full tensor of Scalar objects and loops over every
+coordinate; the package holds only nonzero products as raw values.  The
+two share no arithmetic, so agreement here checks the fast route against
+an independent one: identical violation lists (order and residuals
+included), identical kernels and generated ideals, identical brackets
+and identical ``is_ideal`` verdicts.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_reference as ref
+from leibniz_graphs.algebra import (
+    LeibnizAlgebra,
+    check_leibniz,
+    ideal_closure,
+    leibniz_kernel,
+    product,
+)
+from leibniz_graphs.corpus import (
+    filiform,
+    five_dim,
+    odd_family,
+    standard_entries,
+    ud_component,
+)
+from leibniz_graphs.scalars import FieldSpec, Subspace
+from leibniz_graphs.structure import is_ideal
+
+Q = FieldSpec.rationals()
+BIG = FieldSpec.prime(998244353)
+F5 = FieldSpec.prime(5)
+# Every basis subset is compared up to this dimension; above it, a seeded
+# sample of subsets plus all singletons and their complements.
+SUBSET_DIM = 9
+SAMPLED_SUBSETS = 40
+
+
+def _reference_violations(alg, tensor) -> list:
+    return [(i, j, k, ref.values(r))
+            for i, j, k, r in ref.check_leibniz(alg.field, tensor)]
+
+
+def _subsets(n: int, rng: random.Random):
+    if n <= SUBSET_DIM:
+        return [s for size in range(n + 1)
+                for s in itertools.combinations(range(n), size)]
+    everything = set(range(n))
+    singletons = [(v,) for v in range(n)]
+    complements = [tuple(sorted(everything - {v})) for v in range(n)]
+    sampled = [tuple(sorted(rng.sample(range(n), rng.randint(2, n - 2))))
+               for _ in range(SAMPLED_SUBSETS)]
+    return [(), tuple(range(n))] + singletons + complements + sampled
+
+
+def _random_vector(field, n, rng):
+    if field.is_rationals:
+        return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for _ in range(n))
+    return tuple(rng.randrange(field.p) if rng.random() < 0.5 else 0
+                 for _ in range(n))
+
+
+def _assert_routes_agree(alg, rng):
+    field, n = alg.field, alg.dim
+    tensor = ref.dense_tensor(alg)
+    assert check_leibniz(alg) == _reference_violations(alg, tensor)
+    assert leibniz_kernel(alg).rows == \
+        ref.leibniz_kernel(field, tensor).value_rows()
+    for subset in _subsets(n, rng):
+        got = is_ideal(alg, Subspace.from_basis_indices(field, n, subset))
+        want = ref.is_ideal(field, tensor,
+                            ref.Subspace.from_basis_indices(field, n, subset))
+        assert got == want, subset
+    for _ in range(3):
+        x, y = _random_vector(field, n, rng), _random_vector(field, n, rng)
+        assert product(alg, x, y) == ref.values(ref.product(
+            field, tensor, ref.scalars(field, x), ref.scalars(field, y)))
+        assert ideal_closure(alg, [x]).rows == ref.ideal_closure(
+            field, tensor, [ref.scalars(field, x)]).value_rows()
+
+
+INSTANCES = [
+    pytest.param(entry.build, id=f"{entry.name}{entry.params or ''}")
+    for entry in standard_entries()
+] + [
+    pytest.param(lambda: odd_family(15), id="odd_family(15)/Q"),
+    pytest.param(lambda: odd_family(17, BIG), id="odd_family(17)/GF(p)"),
+    pytest.param(lambda: filiform(15), id="filiform(15)/Q"),
+]
+
+
+@pytest.mark.parametrize("build", INSTANCES)
+def test_sparse_core_matches_dense_reference(build, request):
+    alg, _split = build()
+    _assert_routes_agree(alg, random.Random(request.node.name))
+
+
+# -- single-coefficient mutants --------------------------------------------
+
+BASES = {
+    "Q": [five_dim, lambda field: filiform(6, field),
+          lambda field: odd_family(7, field), ud_component],
+    "GF": [lambda field: five_dim(field), lambda field: filiform(5, field),
+           lambda field: odd_family(7, field), ud_component],
+}
+
+
+@st.composite
+def mutants(draw, field_name):
+    field = Q if field_name == "Q" else draw(st.sampled_from((F5, BIG)))
+    build = draw(st.sampled_from(BASES[field_name]))
+    alg, _split = build(field)
+    n = alg.dim
+    products = {pair: dict(coords) for pair, coords in alg.products.items()}
+    if field.is_rationals:
+        value = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    else:
+        value = st.integers(min_value=0, max_value=field.p - 1)
+    index = st.integers(min_value=0, max_value=n - 1)
+    if draw(st.booleans()):
+        # add one product term c * v_k to [v_i, v_j]
+        i, j, k = draw(index), draw(index), draw(index)
+        c = field.scalar(draw(value.filter(bool)))
+        coords = products.setdefault((i, j), {})
+        coords[k] = field.add(coords.get(k, field.zero), c)
+    else:
+        # perturb one existing coefficient, possibly to zero
+        (i, j), coords = draw(st.sampled_from(sorted(products.items())))
+        k = draw(st.sampled_from(sorted(coords)))
+        delta = field.scalar(draw(value.filter(bool)))
+        coords[k] = field.add(coords[k], delta)
+    mutant = LeibnizAlgebra(field, alg.labels, products, check=False)
+    subset = draw(st.lists(index, max_size=n, unique=True))
+    return mutant, tuple(sorted(subset))
+
+
+def _assert_mutant_agrees(mutant, subset):
+    field, n = mutant.field, mutant.dim
+    tensor = ref.dense_tensor(mutant)
+    want = _reference_violations(mutant, tensor)
+    assert check_leibniz(mutant, stop_early=True) == want[:1]
+    assert check_leibniz(mutant) == want
+    if not want:
+        assert leibniz_kernel(mutant).rows == \
+            ref.leibniz_kernel(field, tensor).value_rows()
+    got = is_ideal(mutant, Subspace.from_basis_indices(field, n, subset))
+    assert got == ref.is_ideal(
+        field, tensor, ref.Subspace.from_basis_indices(field, n, subset))
+
+
+@given(mutants("Q"))
+@settings(max_examples=60, deadline=None)
+def test_rational_mutants_match_dense_reference(drawn):
+    _assert_mutant_agrees(*drawn)
+
+
+@given(mutants("GF"))
+@settings(max_examples=60, deadline=None)
+def test_prime_field_mutants_match_dense_reference(drawn):
+    _assert_mutant_agrees(*drawn)

@@ -1,4 +1,7 @@
-"""Field arithmetic and row-echelon linear algebra."""
+"""Field arithmetic and row-echelon linear algebra.
+
+Each field fact is asserted twice: on the package's raw values through
+FieldSpec, and on the dense reference's Scalar objects."""
 
 from __future__ import annotations
 
@@ -8,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import Scalar, scalar_arith
 from leibniz_graphs.errors import DimensionMismatchError, FieldMismatchError
 from leibniz_graphs.scalars import (
     FieldSpec,
-    Scalar,
     Subspace,
     rref,
-    scalar_arith,
     unit_vector,
     vec_add,
     vec_is_zero,
@@ -32,8 +34,12 @@ rational_values = st.fractions(
 residues5 = st.integers(min_value=0, max_value=4)
 
 
-def _q(x) -> Scalar:
+def _q(x) -> Fraction:
     return Q.scalar(Fraction(x))
+
+
+def _ref(field, x) -> Scalar:
+    return Scalar(field, Fraction(x) if field.is_rationals else x)
 
 
 def test_fieldspec_rejects_composite_modulus():
@@ -50,62 +56,104 @@ def test_fieldspec_characteristic():
 
 
 def test_scalar_canonical_forms():
-    assert F5.scalar(7).value == 2
-    assert F5.scalar(-1).value == 4
-    assert _q("2/4").value == Fraction(1, 2)
+    assert F5.scalar(7) == 2 and type(F5.scalar(7)) is int
+    assert F5.scalar(-1) == 4
+    assert _q("2/4") == Fraction(1, 2) and type(_q("2/4")) is Fraction
     with pytest.raises(ValueError):
         F5.scalar(Fraction(1, 2))
+    assert F5.is_element(4) and not F5.is_element(5)
+    assert Q.is_element(Fraction(1, 2)) and not Q.is_element(1)
+
+    assert Scalar(F5, 7).value == 2
+    assert Scalar(F5, -1).value == 4
+    assert _ref(Q, "2/4").value == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        Scalar(F5, Fraction(1, 2))
 
 
 def test_scalar_arith_dispatch():
     a, b = _q("1/2"), _q("1/3")
-    assert scalar_arith(a, b, "add") == _q("5/6")
-    assert scalar_arith(a, b, "sub") == _q("1/6")
-    assert scalar_arith(a, b, "mul") == _q("1/6")
-    assert scalar_arith(a, b, "div") == _q("3/2")
+    assert Q.add(a, b) == _q("5/6")
+    assert Q.sub(a, b) == _q("1/6")
+    assert Q.mul(a, b) == _q("1/6")
+    assert Q.mul(a, Q.inv(b)) == _q("3/2")
+
+    a, b = _ref(Q, "1/2"), _ref(Q, "1/3")
+    assert scalar_arith(a, b, "add") == _ref(Q, "5/6")
+    assert scalar_arith(a, b, "sub") == _ref(Q, "1/6")
+    assert scalar_arith(a, b, "mul") == _ref(Q, "1/6")
+    assert scalar_arith(a, b, "div") == _ref(Q, "3/2")
     with pytest.raises(ValueError):
         scalar_arith(a, b, "pow")
 
 
 def test_prime_field_inverse():
     # 3 * 2 = 6 = 1 in GF(5)
-    assert F5.scalar(3).inverse() == F5.scalar(2)
+    assert F5.inv(3) == 2
     with pytest.raises(ZeroDivisionError):
-        F5.scalar(0).inverse()
+        F5.inv(0)
     with pytest.raises(ZeroDivisionError):
-        _q(1) / _q(0)
+        Q.inv(_q(0))
+
+    assert Scalar(F5, 3).inverse() == Scalar(F5, 2)
+    with pytest.raises(ZeroDivisionError):
+        Scalar(F5, 0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        _ref(Q, 1) / _ref(Q, 0)
 
 
 def test_field_mismatch_raises():
+    # raw values carry no field: membership is a canonical-type check
+    assert not Q.is_element(F5.scalar(1))
+    assert not F5.is_element(_q(1))
     with pytest.raises(FieldMismatchError):
-        scalar_arith(_q(1), F5.scalar(1), "add")
+        scalar_arith(_ref(Q, 1), Scalar(F5, 1), "add")
     # equality across fields is False, never an error
-    assert _q(1) != F5.scalar(1)
+    assert _ref(Q, 1) != Scalar(F5, 1)
 
 
 @given(a=rational_values, b=rational_values, c=rational_values)
 @settings(max_examples=60, deadline=None)
 def test_rational_field_axioms(a, b, c):
     sa, sb, sc = _q(a), _q(b), _q(c)
+    add, mul = Q.add, Q.mul
+    assert add(add(sa, sb), sc) == add(sa, add(sb, sc))
+    assert add(sa, sb) == add(sb, sa)
+    assert mul(sa, add(sb, sc)) == add(mul(sa, sb), mul(sa, sc))
+    assert add(sa, Q.zero) == sa
+    assert mul(sa, Q.one) == sa
+    if sa:
+        assert mul(sa, Q.inv(sa)) == Q.one
+
+    sa, sb, sc = _ref(Q, a), _ref(Q, b), _ref(Q, c)
     assert (sa + sb) + sc == sa + (sb + sc)
     assert sa + sb == sb + sa
     assert sa * (sb + sc) == sa * sb + sa * sc
-    assert sa + Q.zero == sa
-    assert sa * Q.one == sa
+    assert sa + _ref(Q, 0) == sa
+    assert sa * _ref(Q, 1) == sa
     if sa:
-        assert sa * sa.inverse() == Q.one
+        assert sa * sa.inverse() == _ref(Q, 1)
 
 
 @given(a=residues5, b=residues5, c=residues5)
 @settings(max_examples=60, deadline=None)
 def test_prime_field_axioms(a, b, c):
     sa, sb, sc = F5.scalar(a), F5.scalar(b), F5.scalar(c)
+    add, mul = F5.add, F5.mul
+    assert mul(mul(sa, sb), sc) == mul(sa, mul(sb, sc))
+    assert mul(sa, sb) == mul(sb, sa)
+    assert mul(sa, add(sb, sc)) == add(mul(sa, sb), mul(sa, sc))
+    assert F5.sub(sa, sa) == F5.zero
+    if sa:
+        assert mul(sa, F5.inv(sa)) == F5.one
+
+    sa, sb, sc = Scalar(F5, a), Scalar(F5, b), Scalar(F5, c)
     assert (sa * sb) * sc == sa * (sb * sc)
     assert sa * sb == sb * sa
     assert sa * (sb + sc) == sa * sb + sa * sc
-    assert sa - sa == F5.zero
+    assert sa - sa == Scalar(F5, 0)
     if sa:
-        assert sa * sa.inverse() == F5.one
+        assert sa * sa.inverse() == Scalar(F5, 1)
 
 
 def test_rref_collapses_dependent_rows():
@@ -186,8 +234,11 @@ def test_vector_helpers():
     z = zero_vector(Q, 3)
     assert vec_is_zero(z)
     e0 = unit_vector(Q, 3, 0)
-    assert vec_add(e0, e0) == vec_scale(_q(2), e0)
+    assert vec_add(Q, e0, e0) == vec_scale(Q, _q(2), e0)
     with pytest.raises(DimensionMismatchError):
-        vec_add(e0, zero_vector(Q, 2))
+        vec_add(Q, e0, zero_vector(Q, 2))
+    f0 = unit_vector(F5, 2, 0)
+    assert vec_add(F5, vec_scale(F5, 3, f0), vec_scale(F5, 2, f0)) == \
+        zero_vector(F5, 2)
     with pytest.raises(DimensionMismatchError):
         unit_vector(Q, 3, 5)

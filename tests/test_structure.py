@@ -44,9 +44,8 @@ Q = FieldSpec.rationals()
 
 
 def _abelian(n):
-    tensor = [[list(zero_vector(Q, n)) for _ in range(n)] for _ in range(n)]
     labels = tuple(f"a_{i}" for i in range(n))
-    return LeibnizAlgebra(Q, labels, tensor)
+    return LeibnizAlgebra(Q, labels, {})
 
 
 def _table_graph(alg, split):
