@@ -80,7 +80,6 @@ from .structure import (
     Decomposition,
     MinimalityVerdict,
     analysis_report,
-    check_ideal_absorption_props,
     check_minimality,
     check_weak_division,
     cross_validate,
@@ -88,9 +87,7 @@ from .structure import (
     enumerate_basis_ideals,
     generated_ideal,
     is_ideal,
-    reachability_members,
     restrict_to_indices,
-    simplicity_necessary,
     weak_division_json,
 )
 

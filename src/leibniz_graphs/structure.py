@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import (
     BasisSplit,
@@ -49,16 +49,13 @@ __all__ = [
     "DecompositionPart",
     "MinimalityVerdict",
     "analysis_report",
-    "check_ideal_absorption_props",
     "check_minimality",
     "check_weak_division",
     "decompose",
     "enumerate_basis_ideals",
     "generated_ideal",
     "is_ideal",
-    "reachability_members",
     "restrict_to_indices",
-    "simplicity_necessary",
     "weak_division_json",
 ]
 
@@ -186,12 +183,6 @@ def restrict_to_indices(algebra: LeibnizAlgebra, split: BasisSplit,
     return sub, sub_split
 
 
-def reachability_members(graph: DiGraph, v: int) -> tuple:
-    """Alias of directed reachability, named for its structural meaning:
-    inside one part, these are the basis vectors of the generated ideal."""
-    return reachable_from(graph, v)
-
-
 def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
                         split: BasisSplit):
     """Decide weak division by the ideal-closure oracle.
@@ -225,9 +216,21 @@ def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
 
 def enumerate_basis_ideals(algebra: LeibnizAlgebra,
                            bound: Optional[int] = None) -> list:
-    """All subsets S of the basis whose span is a two-sided ideal, by
-    exhaustive enumeration through is_ideal.  Includes the empty set and
-    the full basis.  Refuses dimensions above the bound."""
+    """All subsets S of the basis whose span is a two-sided ideal, as
+    sorted index tuples in increasing bitmask order (the empty set first,
+    the full basis last).  Refuses dimensions above the bound.
+
+    The span of S is an ideal exactly when S holds every output
+    coordinate of every nonzero product with a factor in S, that is, when
+    S is closed under the successor relation that sends both factors of a
+    nonzero product to each of its output coordinates.  The closed sets
+    are the unions of the per-vertex closures, so they are listed
+    directly and the cost grows with the number of basis ideals rather
+    than with 2^n.  The successors are read from ``algebra.products``
+    alone, sharing no code with the graph route, and every listed set is
+    confirmed by is_ideal; a set that fails raises
+    InternalInvariantViolation.
+    """
     if bound is None:
         bound = enumeration_bound()
     n = algebra.dim
@@ -235,12 +238,29 @@ def enumerate_basis_ideals(algebra: LeibnizAlgebra,
         raise DimensionTooLargeError(
             f"dimension {n} exceeds enumeration bound {bound}"
         )
+    successors = [set() for _ in range(n)]
+    for (i, j), coords in algebra.products.items():
+        successors[i].update(coords)
+        successors[j].update(coords)
+    masks = {0}
+    for v in range(n):
+        closure = {v}
+        stack = [v]
+        while stack:
+            for k in successors[stack.pop()] - closure:
+                closure.add(k)
+                stack.append(k)
+        closure_mask = sum(1 << k for k in closure)
+        masks |= {mask | closure_mask for mask in masks}
     found = []
-    for mask in range(1 << n):
+    for mask in sorted(masks):
         subset = tuple(i for i in range(n) if mask >> i & 1)
         span = Subspace.from_basis_indices(algebra.field, n, subset)
-        if is_ideal(algebra, span):
-            found.append(subset)
+        if not is_ideal(algebra, span):
+            raise InternalInvariantViolation(
+                f"closed basis subset {subset} does not span an ideal"
+            )
+        found.append(subset)
     return found
 
 
@@ -272,36 +292,48 @@ class MinimalityVerdict:
 
 
 def _oracle_minimal(algebra: LeibnizAlgebra, split: BasisSplit,
-                    bound: Optional[int]) -> bool:
-    subsets = enumerate_basis_ideals(algebra, bound)
-    n = algebra.dim
-    full = tuple(range(n))
-    proper = [s for s in subsets if s and s != full]
+                    ideals: list) -> bool:
+    full = tuple(range(algebra.dim))
+    proper = [s for s in ideals if s and s != full]
     expected = [split.kernel] if split.kernel else []
     return sorted(proper) == sorted(expected)
 
 
-def check_minimality(algebra: LeibnizAlgebra, table: MultiplicativeTable,
-                     split: BasisSplit, *, oracle: Optional[bool] = None,
-                     bound: Optional[int] = None) -> MinimalityVerdict:
-    """Decide minimality by the two graph routes, optionally also by the
-    enumeration oracle (oracle=None runs it whenever the dimension allows),
-    and require all computed routes to agree."""
+class _Analysis(NamedTuple):
+    """The facts that check_minimality, cross_validate and
+    analysis_report share, each computed once per call."""
+
+    graph: DiGraph
+    sub_k: DiGraph
+    sub_j: DiGraph
+    division: bool
+    violations: list
+    ideals: Optional[list]  # None when the oracle did not run
+    verdict: MinimalityVerdict
+
+
+def _analyse(algebra: LeibnizAlgebra, table: MultiplicativeTable,
+             split: BasisSplit, oracle: Optional[bool],
+             bound: Optional[int]) -> _Analysis:
+    """Build the graph and both part subgraphs, decide weak division by
+    closure and, when the oracle runs, list the basis ideals, each once;
+    then decide minimality from them and require every computed route to
+    agree."""
     graph = build_graph(table, split)
     sub_k = induced_subgraph(graph, "kernel", split)
     sub_j = induced_subgraph(graph, "complement", split)
     strong_k = is_strongly_connected(sub_k)
     strong_j = is_strongly_connected(sub_j)
-    division, _violations = check_weak_division(algebra, table, split)
+    division, violations = check_weak_division(algebra, table, split)
     connected_k = undirected_components(sub_k).count <= 1
     connected_j = undirected_components(sub_j).count <= 1
 
-    run_oracle = oracle
-    if run_oracle is None:
+    if oracle is None:
         limit = bound if bound is not None else enumeration_bound()
-        run_oracle = algebra.dim <= limit
-    oracle_result = (_oracle_minimal(algebra, split, bound)
-                     if run_oracle else None)
+        oracle = algebra.dim <= limit
+    ideals = enumerate_basis_ideals(algebra, bound) if oracle else None
+    oracle_result = (None if ideals is None
+                     else _oracle_minimal(algebra, split, ideals))
 
     verdict = MinimalityVerdict(
         minimal=strong_k and strong_j,
@@ -322,48 +354,17 @@ def check_minimality(algebra: LeibnizAlgebra, table: MultiplicativeTable,
             f"minimality oracle disagrees with graph route: "
             f"oracle={oracle_result} graph={verdict.via_graph}"
         )
-    return verdict
+    return _Analysis(graph, sub_k, sub_j, division, violations, ideals,
+                     verdict)
 
 
-def simplicity_necessary(graph: DiGraph) -> bool:
-    """Necessary condition for simplicity: one undirected component.
-    (Not sufficient; a connected graph proves nothing more.)"""
-    return undirected_components(graph).count <= 1
-
-
-def check_ideal_absorption_props(algebra: LeibnizAlgebra,
-                                 table: MultiplicativeTable,
-                                 split: BasisSplit, *,
-                                 bound: Optional[int] = None) -> bool:
-    """Verify, by enumeration, the two absorption consequences of strong
-    connectivity:
-
-    * kernel subgraph strongly connected: every subset ideal meeting the
-      kernel part contains the whole kernel;
-    * complement subgraph strongly connected: every subset ideal meeting
-      the complement part is the whole algebra.
-
-    Raises InternalInvariantViolation on a counterexample.
-    """
-    graph = build_graph(table, split)
-    sub_k = induced_subgraph(graph, "kernel", split)
-    sub_j = induced_subgraph(graph, "complement", split)
-    strong_k = is_strongly_connected(sub_k)
-    strong_j = is_strongly_connected(sub_j)
-    kernel = set(split.kernel)
-    complement = set(split.complement)
-    full = tuple(range(algebra.dim))
-    for subset in enumerate_basis_ideals(algebra, bound):
-        sset = set(subset)
-        if strong_k and kernel and (sset & kernel) and not kernel <= sset:
-            raise InternalInvariantViolation(
-                f"ideal {subset} meets the kernel part without absorbing it"
-            )
-        if strong_j and complement and (sset & complement) and subset != full:
-            raise InternalInvariantViolation(
-                f"ideal {subset} meets the complement part but is proper"
-            )
-    return True
+def check_minimality(algebra: LeibnizAlgebra, table: MultiplicativeTable,
+                     split: BasisSplit, *, oracle: Optional[bool] = None,
+                     bound: Optional[int] = None) -> MinimalityVerdict:
+    """Decide minimality by the two graph routes, optionally also by the
+    enumeration oracle (oracle=None runs it whenever the dimension allows),
+    and require all computed routes to agree."""
+    return _analyse(algebra, table, split, oracle, bound).verdict
 
 
 def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
@@ -372,20 +373,18 @@ def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
     """Run every dual-route consistency check on one instance and raise
     InternalInvariantViolation on the first mismatch.
 
-    Checks: same-part graph reachability against ideal-closure membership
-    (both parts, all pairs); weak division against weak symmetry of both
-    part subgraphs; agreement of all minimality routes (inside
-    check_minimality).  Returns counters for reporting.
+    Checks: agreement of all minimality routes; same-part graph
+    reachability against ideal-closure membership (both parts, all
+    pairs); weak division against weak symmetry of both part subgraphs.
+    Returns counters for reporting.
     """
     table = to_multiplicative(algebra, split, validate=False)
-    graph = build_graph(table, split)
-    sub_k = induced_subgraph(graph, "kernel", split)
-    sub_j = induced_subgraph(graph, "complement", split)
+    facts = _analyse(algebra, table, split, oracle, bound)
 
     pairs = 0
-    for part_graph in (sub_k, sub_j):
+    for part_graph in (facts.sub_k, facts.sub_j):
         for v in part_graph.vertices:
-            members = set(reachability_members(part_graph, v))
+            members = set(reachable_from(part_graph, v))
             ideal = generated_ideal(algebra, algebra.unit(v))
             for w in part_graph.vertices:
                 pairs += 1
@@ -395,22 +394,19 @@ def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
                         f"({algebra.labels[v]}, {algebra.labels[w]})"
                     )
 
-    division, _violations = check_weak_division(algebra, table, split)
-    sym_k, _wk = is_weakly_symmetric(sub_k)
-    sym_j, _wj = is_weakly_symmetric(sub_j)
-    if division != (sym_k and sym_j):
+    sym_k, _wk = is_weakly_symmetric(facts.sub_k)
+    sym_j, _wj = is_weakly_symmetric(facts.sub_j)
+    if facts.division != (sym_k and sym_j):
         raise InternalInvariantViolation(
-            f"weak division ({division}) disagrees with part weak "
+            f"weak division ({facts.division}) disagrees with part weak "
             f"symmetry ({sym_k}, {sym_j})"
         )
 
-    verdict = check_minimality(algebra, table, split,
-                               oracle=oracle, bound=bound)
     return {
         "reachability_pairs": pairs,
-        "weak_division": division,
-        "minimal": verdict.minimal,
-        "oracle_ran": verdict.oracle_minimal is not None,
+        "weak_division": facts.division,
+        "minimal": facts.verdict.minimal,
+        "oracle_ran": facts.verdict.oracle_minimal is not None,
     }
 
 
@@ -445,30 +441,26 @@ def analysis_report(algebra: LeibnizAlgebra, split: BasisSplit, *,
     from .jsonio import field_to_json
 
     table = to_multiplicative(algebra, split, validate=False)
-    graph = build_graph(table, split)
-    sub_k = induced_subgraph(graph, "kernel", split)
-    sub_j = induced_subgraph(graph, "complement", split)
-    verdict = check_minimality(algebra, table, split,
-                               oracle=oracle, bound=bound)
-    division, violations = check_weak_division(algebra, table, split)
+    facts = _analyse(algebra, table, split, oracle, bound)
+    graph, verdict = facts.graph, facts.verdict
     components = undirected_components(graph).classes()
 
     def edge_labels(g: DiGraph) -> list:
         return [[g.label_of(a), g.label_of(b)] for a, b in g.sorted_edges()]
 
-    def subgraph_block(g: DiGraph) -> dict:
+    def subgraph_block(g: DiGraph, connected: bool, strong: bool) -> dict:
         symmetric, witness = is_weakly_symmetric(g)
         return {
             "vertices": [g.label_of(v) for v in g.vertices],
             "edge_count": len(g.edges),
             "edges": edge_labels(g),
-            "connected": undirected_components(g).count <= 1,
+            "connected": connected,
             "weakly_symmetric": symmetric,
             "weak_symmetry_witness": (
                 None if witness is None
                 else [g.label_of(witness[0]), g.label_of(witness[1])]
             ),
-            "strongly_connected": is_strongly_connected(g),
+            "strongly_connected": strong,
         }
 
     flags = []
@@ -478,11 +470,9 @@ def analysis_report(algebra: LeibnizAlgebra, split: BasisSplit, *,
         flags.append("degenerate-dimension")
 
     oracle_ideals = None
-    if verdict.oracle_minimal is not None:
-        oracle_ideals = [
-            [algebra.labels[i] for i in subset]
-            for subset in enumerate_basis_ideals(algebra, bound)
-        ]
+    if facts.ideals is not None:
+        oracle_ideals = [[algebra.labels[i] for i in subset]
+                         for subset in facts.ideals]
 
     return {
         "field": field_to_json(algebra.field),
@@ -499,14 +489,17 @@ def analysis_report(algebra: LeibnizAlgebra, split: BasisSplit, *,
             "edges": edge_labels(graph),
         },
         "subgraphs": {
-            "kernel": subgraph_block(sub_k),
-            "complement": subgraph_block(sub_j),
+            "kernel": subgraph_block(facts.sub_k, verdict.connected_kernel,
+                                     verdict.strong_kernel),
+            "complement": subgraph_block(facts.sub_j,
+                                         verdict.connected_complement,
+                                         verdict.strong_complement),
         },
         "components": [
             [algebra.labels[v] for v in group] for group in components
         ],
-        "weak_division": weak_division_json(algebra, table, division,
-                                            violations),
+        "weak_division": weak_division_json(algebra, table, facts.division,
+                                            facts.violations),
         "minimality": {
             "minimal": verdict.minimal,
             "strongly_connected_kernel": verdict.strong_kernel,

@@ -311,3 +311,16 @@ def is_ideal(field, tensor, subspace: Subspace) -> bool:
             if not subspace.contains(product(field, tensor, e, s)):
                 return False
     return True
+
+
+def enumerate_basis_ideals(field, tensor) -> list:
+    """Every basis subset whose span passes is_ideal, tried one bitmask
+    at a time over all 2^n subsets, in increasing bitmask order."""
+    n = len(tensor)
+    found = []
+    for mask in range(1 << n):
+        subset = tuple(i for i in range(n) if mask >> i & 1)
+        if is_ideal(field, tensor,
+                    Subspace.from_basis_indices(field, n, subset)):
+            found.append(subset)
+    return found

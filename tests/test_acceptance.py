@@ -39,6 +39,7 @@ from leibniz_graphs.graphs import (
     induced_subgraph,
     is_strongly_connected,
     is_weakly_symmetric,
+    reachable_from,
     to_dot,
     undirected_components,
 )
@@ -48,7 +49,6 @@ from leibniz_graphs.structure import (
     check_weak_division,
     decompose,
     generated_ideal,
-    reachability_members,
     restrict_to_indices,
 )
 from leibniz_graphs.algebra import product as bracket
@@ -207,7 +207,7 @@ def test_criterion_05_reachability_equals_ideal_closure():
             for part in ("kernel", "complement"):
                 sub = induced_subgraph(graph, part, split)
                 for v in sub.vertices:
-                    members = set(reachability_members(sub, v))
+                    members = set(reachable_from(sub, v))
                     ideal = generated_ideal(alg, alg.unit(v))
                     for w in sub.vertices:
                         pairs += 1

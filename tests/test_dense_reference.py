@@ -4,8 +4,14 @@ The reference holds a full tensor of Scalar objects and loops over every
 coordinate; the package holds only nonzero products as raw values.  The
 two share no arithmetic, so agreement here checks the fast route against
 an independent one: identical violation lists (order and residuals
-included), identical kernels and generated ideals, identical brackets
-and identical ``is_ideal`` verdicts.
+included), identical kernels and generated ideals, identical brackets,
+identical ``is_ideal`` verdicts, and identical lists of basis ideals.
+
+``enumerate_basis_ideals`` lists only the successor-closed basis subsets
+and confirms each one with ``is_ideal``, so at run time it can catch a
+listed set that is not an ideal but never an ideal it failed to list.
+The brute-force reference tries all 2^n subsets with its own dense
+``is_ideal``; equal lists here guard against a missed ideal.
 """
 
 from __future__ import annotations
@@ -29,12 +35,13 @@ from leibniz_graphs.algebra import (
 from leibniz_graphs.corpus import (
     filiform,
     five_dim,
+    fuzz_instances,
     odd_family,
     standard_entries,
     ud_component,
 )
 from leibniz_graphs.scalars import FieldSpec, Subspace
-from leibniz_graphs.structure import is_ideal
+from leibniz_graphs.structure import enumerate_basis_ideals, is_ideal
 
 Q = FieldSpec.rationals()
 BIG = FieldSpec.prime(998244353)
@@ -43,6 +50,9 @@ F5 = FieldSpec.prime(5)
 # sample of subsets plus all singletons and their complements.
 SUBSET_DIM = 9
 SAMPLED_SUBSETS = 40
+# The basis-ideal listing is compared with the 2^n brute force up to this
+# dimension.
+LISTING_DIM = 12
 
 
 def _reference_violations(alg, tensor) -> list:
@@ -156,6 +166,8 @@ def _assert_mutant_agrees(mutant, subset):
     got = is_ideal(mutant, Subspace.from_basis_indices(field, n, subset))
     assert got == ref.is_ideal(
         field, tensor, ref.Subspace.from_basis_indices(field, n, subset))
+    assert enumerate_basis_ideals(mutant) == \
+        ref.enumerate_basis_ideals(field, tensor)
 
 
 @given(mutants("Q"))
@@ -168,3 +180,36 @@ def test_rational_mutants_match_dense_reference(drawn):
 @settings(max_examples=60, deadline=None)
 def test_prime_field_mutants_match_dense_reference(drawn):
     _assert_mutant_agrees(*drawn)
+
+
+# -- basis-ideal listing against the 2^n brute force -----------------------
+
+def _assert_listing_complete(alg):
+    assert enumerate_basis_ideals(alg) == \
+        ref.enumerate_basis_ideals(alg.field, ref.dense_tensor(alg))
+
+
+@pytest.mark.parametrize("alg", [
+    pytest.param(alg, id=f"{entry.name}{entry.params or ''}")
+    for entry in standard_entries()
+    for alg, _split in [entry.build()]
+    if alg.dim <= LISTING_DIM
+])
+def test_basis_ideals_of_the_corpus_match_brute_force(alg):
+    _assert_listing_complete(alg)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_basis_ideals_of_fuzz_instances_match_brute_force(p):
+    instances = fuzz_instances(seed=p, count=150, field=FieldSpec.prime(p))
+    assert len(instances) == 150
+    for alg, _split in instances:
+        _assert_listing_complete(alg)
+
+
+def test_every_subset_is_a_basis_ideal_without_products():
+    alg = LeibnizAlgebra(F5, tuple(f"a_{i}" for i in range(LISTING_DIM)), {})
+    everything = [tuple(i for i in range(LISTING_DIM) if mask >> i & 1)
+                  for mask in range(1 << LISTING_DIM)]
+    assert enumerate_basis_ideals(alg, bound=LISTING_DIM) == everything
+    _assert_listing_complete(alg)

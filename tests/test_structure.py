@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+
+from leibniz_graphs import structure
 
 from leibniz_graphs.algebra import (
     BasisSplit,
@@ -21,12 +25,16 @@ from leibniz_graphs.errors import (
     DimensionTooLargeError,
     InternalInvariantViolation,
 )
-from leibniz_graphs.graphs import DiGraph, build_graph, induced_subgraph
+from leibniz_graphs.graphs import (
+    DiGraph,
+    build_graph,
+    induced_subgraph,
+    reachable_from,
+)
 from leibniz_graphs.scalars import FieldSpec, Subspace, unit_vector, zero_vector
 from leibniz_graphs.structure import (
     ENUM_BOUND_ENV,
     analysis_report,
-    check_ideal_absorption_props,
     check_minimality,
     check_weak_division,
     cross_validate,
@@ -35,10 +43,9 @@ from leibniz_graphs.structure import (
     enumeration_bound,
     generated_ideal,
     is_ideal,
-    reachability_members,
     restrict_to_indices,
-    simplicity_necessary,
 )
+from structure_checks import check_ideal_absorption_props, simplicity_necessary
 
 Q = FieldSpec.rationals()
 
@@ -182,7 +189,7 @@ def test_reachability_matches_generated_ideal_inside_a_part():
     alg, split = five_dim()
     _table, graph = _table_graph(alg, split)
     sub_k = induced_subgraph(graph, "kernel", split)
-    members = reachability_members(sub_k, 3)
+    members = reachable_from(sub_k, 3)
     ideal = generated_ideal(alg, unit_vector(Q, 5, 3))
     assert members == ideal.basis_members() == (3, 4)
 
@@ -310,3 +317,62 @@ def test_analysis_report_degenerate_flags():
     assert report["flags"] == ["empty-kernel-part", "degenerate-dimension"]
     assert report["minimality"]["minimal"] is True  # no proper nonzero ideals
     assert report["kernel"] == []
+
+
+def _count_calls(monkeypatch, names) -> Counter:
+    """Wrap each named structure global with a call counter."""
+    calls = Counter()
+    for name in names:
+        original = getattr(structure, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(structure, name, counted)
+    return calls
+
+
+SHARED = ("enumerate_basis_ideals", "check_weak_division", "build_graph")
+
+
+@pytest.mark.parametrize("name", ("five_dim", "five_doubled", "ud_plus_five"))
+def test_analysis_report_computes_each_fact_once(monkeypatch, name):
+    alg, split = build_example(name)
+    calls = _count_calls(monkeypatch, SHARED)
+    report = analysis_report(alg, split)
+    assert report["minimality"]["oracle"] is not None
+    assert calls == Counter(dict.fromkeys(SHARED, 1))
+
+    calls.clear()
+    report = analysis_report(alg, split, oracle=False)
+    assert report["oracle_ideals"] is None
+    assert calls == Counter(check_weak_division=1, build_graph=1)
+
+
+def test_cross_validate_and_check_minimality_compute_each_fact_once(
+        monkeypatch):
+    alg, split = build_example("five_doubled")
+    calls = _count_calls(monkeypatch, SHARED)
+    cross_validate(alg, split)
+    assert calls == Counter(dict.fromkeys(SHARED, 1))
+
+    calls.clear()
+    table = to_multiplicative(alg, split)
+    check_minimality(alg, table, split)
+    assert calls == Counter(dict.fromkeys(SHARED, 1))
+
+
+def test_enumeration_confirms_every_listed_set(monkeypatch):
+    # a closed set that is_ideal rejects must not be dropped silently
+    alg, _split = five_dim()
+    real = structure.is_ideal
+
+    def rejecting(algebra, subspace):
+        if subspace.basis_members() == (3, 4):
+            return False
+        return real(algebra, subspace)
+
+    monkeypatch.setattr(structure, "is_ideal", rejecting)
+    with pytest.raises(InternalInvariantViolation, match=r"\(3, 4\)"):
+        enumerate_basis_ideals(alg)
