@@ -91,12 +91,11 @@ def _graph_json(graph, kernel_vertices) -> dict:
     kernel = set(kernel_vertices)
     return {
         "vertices": [
-            {"label": graph.label_of(v),
+            {"label": label,
              "part": "kernel" if v in kernel else "complement"}
-            for v in graph.vertices
+            for v, label in zip(graph.vertices, graph.labels)
         ],
-        "edges": [[graph.label_of(a), graph.label_of(b)]
-                  for a, b in graph.sorted_edges()],
+        "edges": graph.edge_labels(),
     }
 
 

@@ -4,10 +4,16 @@ predicates the structure theory runs on.
 Edge rule: every nonzero product [v_i, v_j] = c * v_k contributes the two
 edges (v_i, v_k) and (v_j, v_k); both factors point at the product.
 Coefficients are discarded, duplicates collapse, loops are kept.
+
+A DiGraph is immutable, so what is derived from it -- the sorted edge
+order, the successor lists, the strong components -- is derived at most
+once per graph, on first use; after the one sort every predicate runs in
+O(V + E).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Literal
 
@@ -31,10 +37,32 @@ __all__ = [
 Part = Literal["kernel", "complement"]
 
 
+class _derived:
+    """An attribute computed on first access and then stored in the
+    instance dict, which later lookups read directly.  This is
+    functools.cached_property without its lock, which before Python 3.12
+    costs more than deriving the structures of a small graph."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class DiGraph:
     """A digraph on basis indices.  Vertices keep their original algebra
-    indices even in induced subgraphs, so labels stay aligned."""
+    indices even in induced subgraphs, so labels stay aligned.
+
+    Derived structures are cached on the instance on first use; they are
+    not fields, so equality and hashing see only the graph itself."""
 
     vertices: tuple  # strictly increasing vertex indices
     labels: tuple    # labels[t] names vertices[t]
@@ -66,14 +94,31 @@ class DiGraph:
         except KeyError:
             raise UnknownVertexError(f"vertex {v} not in graph") from None
 
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
+    @_derived
+    def _sorted_edges(self) -> tuple:
+        return tuple(sorted(self.edges))
 
-    def adjacency(self) -> dict:
-        adj = {v: [] for v in self.vertices}
-        for a, b in self.sorted_edges():
-            adj[a].append(b)
-        return adj
+    @_derived
+    def _successors(self) -> dict:
+        """vertex -> list of its out-neighbours (in no particular order;
+        every reader's result is order-independent)."""
+        succ = {v: [] for v in self.vertices}
+        for a, b in self.edges:
+            succ[a].append(b)
+        return succ
+
+    @_derived
+    def _strong(self) -> ComponentPartition:
+        return _tarjan(self)
+
+    def sorted_edges(self) -> list:
+        """The edges sorted by vertex index pair, as a fresh list."""
+        return list(self._sorted_edges)
+
+    def edge_labels(self) -> list:
+        """[label_a, label_b] for each edge, in sorted edge order."""
+        label = self._label
+        return [[label[a], label[b]] for a, b in self._sorted_edges]
 
 
 def build_graph(table: MultiplicativeTable, split: BasisSplit) -> DiGraph:
@@ -136,97 +181,100 @@ class ComponentPartition:
         return len({cid for _v, cid in self.assignment})
 
 
-def _canonical_partition(kind, groups: Iterable) -> ComponentPartition:
-    assignment = []
+def _canonical_partition(kind, vertices, groups: Iterable
+                         ) -> ComponentPartition:
+    """The partition of ``vertices`` into ``groups``, each group named by
+    its smallest vertex."""
+    ids = {}
     for group in groups:
         cid = min(group)
         for v in group:
-            assignment.append((v, cid))
-    return ComponentPartition(kind, tuple(sorted(assignment)))
+            ids[v] = cid
+    return ComponentPartition(kind, tuple((v, ids[v]) for v in vertices))
 
 
 def undirected_components(graph: DiGraph) -> ComponentPartition:
-    """Connected components after forgetting edge directions (union-find)."""
-    parent = {v: v for v in graph.vertices}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
+    """Connected components after forgetting edge directions (one
+    depth-first search, O(V + E))."""
+    neighbours = {v: [] for v in graph.vertices}
     for a, b in graph.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict = {}
-    for v in graph.vertices:
-        groups.setdefault(find(v), []).append(v)
-    return _canonical_partition("undirected", groups.values())
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen: set = set()
+    groups = []
+    for root in graph.vertices:
+        if root in seen:
+            continue
+        seen.add(root)
+        group = [root]
+        for v in group:  # grows while it is walked
+            for w in neighbours[v]:
+                if w not in seen:
+                    seen.add(w)
+                    group.append(w)
+        groups.append(group)
+    return _canonical_partition("undirected", graph.vertices, groups)
 
 
-def strong_components(graph: DiGraph) -> ComponentPartition:
-    """Strongly connected components, iterative Tarjan."""
-    adj = graph.adjacency()
+def _tarjan(graph: DiGraph) -> ComponentPartition:
+    """Strongly connected components, iterative Tarjan, O(V + E)."""
+    adj = graph._successors
     index: dict = {}
     low: dict = {}
     on_stack: set = set()
     stack: list = []
     groups: list = []
-    counter = 0
     for root in graph.vertices:
         if root in index:
             continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
+        work = [(root, iter(adj[root]))]
         while work:
             v, it = work[-1]
-            pushed = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
                     work.append((w, iter(adj[w])))
-                    pushed = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent_v = work[-1][0]
-                low[parent_v] = min(low[parent_v], low[v])
-            if low[v] == index[v]:
-                group = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    group.append(w)
-                    if w == v:
-                        break
-                groups.append(group)
-    return _canonical_partition("strong", groups)
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent_v = work[-1][0]
+                    if low[v] < low[parent_v]:
+                        low[parent_v] = low[v]
+                if low[v] == index[v]:
+                    group = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        group.append(w)
+                        if w == v:
+                            break
+                    groups.append(group)
+    return _canonical_partition("strong", graph.vertices, groups)
+
+
+def strong_components(graph: DiGraph) -> ComponentPartition:
+    """Strongly connected components (computed once per graph)."""
+    return graph._strong
 
 
 def reachable_from(graph: DiGraph, v: int) -> tuple:
     """Vertices reachable from v by a directed path; v itself counts
     (the empty path)."""
-    if v not in set(graph.vertices):
+    adj = graph._successors
+    if v not in adj:
         raise UnknownVertexError(f"vertex {v} not in graph")
-    adj = graph.adjacency()
     seen = {v}
-    queue = [v]
+    queue = deque([v])
     while queue:
-        cur = queue.pop(0)
-        for w in adj[cur]:
+        for w in adj[queue.popleft()]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -237,9 +285,8 @@ def is_weakly_symmetric(graph: DiGraph):
     """True iff both endpoints of every edge lie in one strongly connected
     component; returns (flag, witness_edge_or_None).  The witness is the
     first offending edge in sorted order."""
-    part = strong_components(graph)
-    ids = part.as_dict()
-    for a, b in graph.sorted_edges():
+    ids = strong_components(graph)._ids
+    for a, b in graph._sorted_edges:
         if ids[a] != ids[b]:
             return False, (a, b)
     return True, None
@@ -261,19 +308,18 @@ def to_dot(graph: DiGraph, kernel_vertices: Iterable[int] = (),
            name: str = "leibniz") -> str:
     """Deterministic DOT text; kernel-part vertices are drawn as boxes."""
     kernel = set(kernel_vertices)
+    quoted = {v: _quote(label) for v, label in graph._label.items()}
     lines = [f"digraph {name} {{"]
-    for v, label in zip(graph.vertices, graph.labels):
-        shape = "box" if v in kernel else "ellipse"
-        lines.append(f"  {_quote(label)} [shape={shape}];")
-    for a, b in graph.sorted_edges():
-        lines.append(f"  {_quote(graph.label_of(a))} -> "
-                     f"{_quote(graph.label_of(b))};")
+    lines += [f"  {quoted[v]} [shape={'box' if v in kernel else 'ellipse'}];"
+              for v in graph.vertices]
+    lines += [f"  {quoted[a]} -> {quoted[b]};"
+              for a, b in graph._sorted_edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def edge_list_text(graph: DiGraph) -> str:
     """One 'a -> b' line per edge, sorted by vertex index pair."""
-    lines = [f"{graph.label_of(a)} -> {graph.label_of(b)}"
-             for a, b in graph.sorted_edges()]
+    label = graph._label
+    lines = [f"{label[a]} -> {label[b]}" for a, b in graph._sorted_edges]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -17,6 +17,7 @@ complement part J:
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -93,6 +94,32 @@ def generated_ideal(algebra: LeibnizAlgebra, vector) -> Subspace:
     if vec_is_zero(tuple(vector)):
         return Subspace.from_vectors(algebra.field, algebra.dim, [])
     return ideal_closure(algebra, [tuple(vector)])
+
+
+class _UnitIdeals(dict):
+    """v -> the ideal generated by basis vector v_v, closed on first
+    lookup."""
+
+    def __init__(self, algebra: LeibnizAlgebra):
+        super().__init__()
+        self.algebra = algebra
+
+    def __missing__(self, v: int) -> Subspace:
+        ideal = self[v] = generated_ideal(self.algebra, self.algebra.unit(v))
+        return ideal
+
+
+# The _UnitIdeals of the cross_validate call in progress, which its
+# check_weak_division shares, so that each generator is closed once per
+# call; None outside such a call.
+_SHARED_UNIT_IDEALS: ContextVar = ContextVar("unit_ideals", default=None)
+
+
+def _unit_ideals(algebra: LeibnizAlgebra) -> _UnitIdeals:
+    shared = _SHARED_UNIT_IDEALS.get()
+    if shared is not None and shared.algebra is algebra:
+        return shared
+    return _UnitIdeals(algebra)
 
 
 @dataclass(frozen=True)
@@ -194,13 +221,7 @@ def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     Returns (holds, violations); each violation is ((i, j), k, missing).
     """
     kernel = set(split.kernel)
-    ideals: dict = {}
-
-    def ideal_of(k: int) -> Subspace:
-        if k not in ideals:
-            ideals[k] = generated_ideal(algebra, algebra.unit(k))
-        return ideals[k]
-
+    ideals = _unit_ideals(algebra)
     violations = []
     for (i, j), (k, _c) in table.entries:
         required = []
@@ -209,7 +230,7 @@ def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
         elif i not in kernel and j not in kernel and k not in kernel:
             required = [i, j]
         for member in required:
-            if not ideal_of(k).contains(algebra.unit(member)):
+            if not ideals[k].contains(algebra.unit(member)):
                 violations.append(((i, j), k, member))
     return (not violations), violations
 
@@ -376,16 +397,23 @@ def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
     Checks: agreement of all minimality routes; same-part graph
     reachability against ideal-closure membership (both parts, all
     pairs); weak division against weak symmetry of both part subgraphs.
-    Returns counters for reporting.
+    Returns counters for reporting.  The ideal of each basis vector is
+    computed by closure once per call and shared with check_weak_division.
     """
-    table = to_multiplicative(algebra, split, validate=False)
-    facts = _analyse(algebra, table, split, oracle, bound)
+    ideals = _UnitIdeals(algebra)
+    token = _SHARED_UNIT_IDEALS.set(ideals)
+    try:
+        table = to_multiplicative(algebra, split, validate=False)
+        facts = _analyse(algebra, table, split, oracle, bound)
+    finally:
+        _SHARED_UNIT_IDEALS.reset(token)
 
     pairs = 0
     for part_graph in (facts.sub_k, facts.sub_j):
         for v in part_graph.vertices:
             members = set(reachable_from(part_graph, v))
-            ideal = generated_ideal(algebra, algebra.unit(v))
+            ideal = ideals[v]
+            del ideals[v]  # each vertex comes once: free its ideal after use
             for w in part_graph.vertices:
                 pairs += 1
                 if (w in members) != ideal.contains(algebra.unit(w)):
@@ -445,15 +473,12 @@ def analysis_report(algebra: LeibnizAlgebra, split: BasisSplit, *,
     graph, verdict = facts.graph, facts.verdict
     components = undirected_components(graph).classes()
 
-    def edge_labels(g: DiGraph) -> list:
-        return [[g.label_of(a), g.label_of(b)] for a, b in g.sorted_edges()]
-
     def subgraph_block(g: DiGraph, connected: bool, strong: bool) -> dict:
         symmetric, witness = is_weakly_symmetric(g)
         return {
-            "vertices": [g.label_of(v) for v in g.vertices],
+            "vertices": list(g.labels),
             "edge_count": len(g.edges),
-            "edges": edge_labels(g),
+            "edges": g.edge_labels(),
             "connected": connected,
             "weakly_symmetric": symmetric,
             "weak_symmetry_witness": (
@@ -486,7 +511,7 @@ def analysis_report(algebra: LeibnizAlgebra, split: BasisSplit, *,
         "table_entries": len(table.entries),
         "graph": {
             "edge_count": len(graph.edges),
-            "edges": edge_labels(graph),
+            "edges": graph.edge_labels(),
         },
         "subgraphs": {
             "kernel": subgraph_block(facts.sub_k, verdict.connected_kernel,

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+from leibniz_graphs import graphs
 from leibniz_graphs.algebra import BasisSplit, to_multiplicative
 from leibniz_graphs.corpus import (
     build_example,
+    standard_entries,
     filiform,
     five_dim,
     fuzz_instances,
@@ -250,3 +252,81 @@ def test_strong_components_match_pairwise_reachability():
                 same = part.id_of(a) == part.id_of(b)
                 mutual = b in reach[a] and a in reach[b]
                 assert same == mutual
+
+
+def _observations(graph, kernel=()) -> tuple:
+    """Everything the predicates and emitters say about a graph."""
+    return (
+        graph.sorted_edges(),
+        graph.edge_labels(),
+        strong_components(graph),
+        undirected_components(graph),
+        is_strongly_connected(graph),
+        is_weakly_symmetric(graph),
+        tuple(reachable_from(graph, v) for v in graph.vertices),
+        to_dot(graph, kernel_vertices=kernel),
+        edge_list_text(graph),
+    )
+
+
+def test_strong_components_are_computed_once_per_graph(monkeypatch):
+    calls = []
+    real = graphs._tarjan
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(graphs, "_tarjan", counting)
+    alg, split = five_dim()
+    graph = _graph_of(alg, split)
+    first = strong_components(graph)
+    assert is_weakly_symmetric(graph) == (False, (0, 3))
+    assert not is_strongly_connected(graph)
+    assert strong_components(graph) is first
+    assert len(calls) == 1
+    # an equal graph is a different object with its own caches
+    again = _graph_of(alg, split)
+    assert again == graph
+    assert strong_components(again) == first
+    assert len(calls) == 2
+
+
+def test_mutating_sorted_edges_leaves_the_graph_unchanged():
+    alg, split = five_dim()
+    graph = _graph_of(alg, split)
+    before = _observations(graph, split.kernel)
+    edges = graph.sorted_edges()
+    edges.reverse()
+    edges.append((9, 9))
+    edges[0] = (4, 0)
+    assert graph.sorted_edges() == sorted(FIVE_DIM_EDGES)
+    assert _observations(graph, split.kernel) == before
+    assert before == _observations(_graph_of(alg, split), split.kernel)
+
+
+def test_equality_and_hash_ignore_filled_caches():
+    alg, split = five_dim()
+    warm = _graph_of(alg, split)
+    fresh = _graph_of(alg, split)
+    hashed = hash(warm)
+    _observations(warm, split.kernel)
+    assert hash(warm) == hashed == hash(fresh)
+    assert warm == fresh and fresh == warm
+    assert len({warm, fresh}) == 1
+    other = DiGraph(warm.vertices, warm.labels, warm.edges - {(0, 0)})
+    _observations(other)
+    assert other != warm
+
+
+def test_subgraph_of_a_warm_graph_equals_one_built_fresh():
+    for entry in standard_entries():
+        alg, split = entry.instantiate()
+        warm = _graph_of(alg, split)
+        _observations(warm, split.kernel)
+        for part in ("kernel", "complement"):
+            from_warm = induced_subgraph(warm, part, split)
+            fresh = induced_subgraph(_graph_of(alg, split), part, split)
+            assert from_warm == fresh
+            assert (_observations(from_warm, split.kernel)
+                    == _observations(fresh, split.kernel))

@@ -376,3 +376,29 @@ def test_enumeration_confirms_every_listed_set(monkeypatch):
     monkeypatch.setattr(structure, "is_ideal", rejecting)
     with pytest.raises(InternalInvariantViolation, match=r"\(3, 4\)"):
         enumerate_basis_ideals(alg)
+
+
+def test_cross_validate_closes_each_generator_once_per_call(monkeypatch):
+    # check_weak_division and the reachability check share one map of
+    # basis-vector ideals within a cross_validate call, not across calls
+    alg, split = build_example("five_doubled")
+    closed = Counter()
+    real = structure.generated_ideal
+
+    def counting(algebra, vector):
+        closed[tuple(vector)] += 1
+        return real(algebra, vector)
+
+    monkeypatch.setattr(structure, "generated_ideal", counting)
+    every_unit = {alg.unit(v) for v in range(alg.dim)}
+    for _call in range(2):
+        closed.clear()
+        stats = cross_validate(alg, split)
+        assert stats["reachability_pairs"] > 0
+        assert set(closed) == every_unit
+        assert set(closed.values()) == {1}
+
+    # outside cross_validate, check_weak_division keeps its own map
+    closed.clear()
+    check_weak_division(alg, to_multiplicative(alg, split), split)
+    assert closed and set(closed.values()) == {1}
