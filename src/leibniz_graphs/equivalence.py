@@ -24,8 +24,8 @@ from .graphs import DiGraph
 from .scalars import (
     FieldSpec,
     add_scaled,
+    echelon,
     prune,
-    rref,
     to_dense,
     to_sparse,
     unit_vector,
@@ -117,19 +117,19 @@ class LinearMap:
         return to_dense(self.field, self.dim, self._apply_sparse(to_sparse(x)))
 
     def is_invertible(self) -> bool:
-        rows, _p = rref(self.field, self.matrix, self.dim)
-        return len(rows) == self.dim
+        return len(echelon(self.field, self._rows)) == self.dim
 
     def inverse(self) -> "LinearMap":
         """The inverse, read off the row echelon form of [M | I]; raises
         SingularMapError when M is singular."""
-        n = self.dim
-        augmented = [row + unit_vector(self.field, n, i)
-                     for i, row in enumerate(self.matrix)]
-        rows, pivots = rref(self.field, augmented, 2 * n)
-        if pivots[:n] != tuple(range(n)):
+        n, one, zero = self.dim, self.field.one, self.field.zero
+        basis = echelon(self.field, ({**row, n + a: one}
+                                     for a, row in enumerate(self._rows)))
+        if sorted(basis) != list(range(n)):
             raise SingularMapError("matrix is singular")
-        return LinearMap(self.field, tuple(row[n:] for row in rows))
+        return LinearMap(self.field, tuple(
+            tuple(basis[a].get(n + j, zero) for j in range(n))
+            for a in range(n)))
 
 
 def _image_products(algebra: LeibnizAlgebra, f: LinearMap) -> dict:

@@ -4,16 +4,17 @@ linear algebra (spans, membership, rank).
 No floating point anywhere, and no wrapper objects: a value of Q is a
 plain ``Fraction``, a value of GF(p) is a plain ``int`` residue 0..p-1.
 ``FieldSpec`` owns the canonical form and the arithmetic on these values.
-Subspaces keep their rows both as dense tuples (the public form) and as
-sparse ``{column: value}`` dicts, so membership tests cost the number of
-nonzero entries they touch rather than the ambient dimension.
+A subspace is stored only as its reduced echelon rows in sparse
+``{column: value}`` form, so membership tests and closures cost the
+number of nonzero entries they touch rather than the ambient dimension.
+Dense coordinate tuples exist only at the API boundary: the vectors a
+caller hands in and the ``rows`` view a caller reads out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError
@@ -23,10 +24,6 @@ __all__ = [
     "Subspace",
     "rref",
     "unit_vector",
-    "vec_add",
-    "vec_is_zero",
-    "vec_scale",
-    "zero_vector",
 ]
 
 
@@ -140,30 +137,14 @@ class FieldSpec:
 Vector = tuple  # tuple of canonical field values; kept loose
 
 
-@lru_cache(maxsize=None)
-def zero_vector(field: FieldSpec, n: int) -> Vector:
-    return (field.zero,) * n
-
-
-@lru_cache(maxsize=None)
-def unit_vector(field: FieldSpec, n: int, i: int) -> Vector:
+def _unit_row(field: FieldSpec, n: int, i: int) -> dict:
     if not 0 <= i < n:
         raise DimensionMismatchError(f"unit index {i} out of range for dim {n}")
-    return tuple(field.one if k == i else field.zero for k in range(n))
+    return {i: field.one}
 
 
-def vec_add(field: FieldSpec, x: Vector, y: Vector) -> Vector:
-    if len(x) != len(y):
-        raise DimensionMismatchError(f"vector lengths {len(x)} != {len(y)}")
-    return tuple(field.add(a, b) for a, b in zip(x, y))
-
-
-def vec_scale(field: FieldSpec, c, x: Vector) -> Vector:
-    return tuple(field.mul(c, a) for a in x)
-
-
-def vec_is_zero(x: Vector) -> bool:
-    return not any(x)
+def unit_vector(field: FieldSpec, n: int, i: int) -> Vector:
+    return to_dense(field, n, _unit_row(field, n, i))
 
 
 def to_sparse(v: Sequence) -> dict:
@@ -243,12 +224,6 @@ def _check_rows(field: FieldSpec, rows, ambient_dim: int) -> list:
     return out
 
 
-def _dense_rows(field: FieldSpec, ambient_dim: int, basis: dict):
-    pivots = tuple(sorted(basis))
-    return (tuple(to_dense(field, ambient_dim, basis[c]) for c in pivots),
-            pivots)
-
-
 def rref(field: FieldSpec, rows: Iterable[Sequence], ambient_dim: int):
     """Reduced row echelon form over an exact field.
 
@@ -256,78 +231,96 @@ def rref(field: FieldSpec, rows: Iterable[Sequence], ambient_dim: int):
     pivot columns strictly increasing, and each pivot the only nonzero
     entry in its column.  The output is a canonical form of the row span.
     """
-    return _dense_rows(field, ambient_dim,
-                       echelon(field, _check_rows(field, rows, ambient_dim)))
+    span = Subspace.from_vectors(field, ambient_dim, rows)
+    return span.rows, span.pivots
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A subspace of field^ambient_dim held in canonical RREF form."""
+    """A subspace of field^ambient_dim in canonical reduced echelon form.
 
-    field: FieldSpec
-    ambient_dim: int
-    rows: tuple = ()
-    pivots: tuple = dc_field(default=(), compare=False)
-    # pivot column -> that row's nonzero entries; derived from rows
-    _basis: dict = dc_field(init=False, compare=False, repr=False)
+    The only stored form is ``{pivot column: sparse row}`` in pivot
+    order, each row a ``{column: value}`` dict with pivot entry one and
+    no entry at any other pivot column.  Dense ``rows`` and ``pivots``
+    are derived on access.  Equal spans compare and hash equal however
+    they were built.  The constructor takes dense rows already in RREF.
+    """
 
-    def __post_init__(self):
-        if len(self.pivots) != len(self.rows):
-            # Rows are required to be in RREF: pivot = first nonzero entry.
-            derived = []
-            for row in self.rows:
-                lead = next((c for c, x in enumerate(row) if x), None)
-                if lead is None:
-                    raise ValueError("zero row in RREF subspace")
-                derived.append(lead)
-            object.__setattr__(self, "pivots", tuple(derived))
-        object.__setattr__(self, "_basis", {
-            c: to_sparse(row) for c, row in zip(self.pivots, self.rows)
-        })
+    __slots__ = ("field", "ambient_dim", "_basis")
+
+    def __init__(self, field: FieldSpec, ambient_dim: int,
+                 rows: Iterable[Vector] = ()):
+        basis = {}
+        for row in rows:
+            sparse = to_sparse(row)
+            if not sparse:
+                raise ValueError("zero row in RREF subspace")
+            basis[min(sparse)] = sparse
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self._basis = dict(sorted(basis.items()))
 
     @classmethod
     def from_vectors(cls, field: FieldSpec, ambient_dim: int,
                      vectors: Iterable[Vector]) -> "Subspace":
-        rows, pivots = rref(field, vectors, ambient_dim)
-        return cls(field, ambient_dim, rows, pivots)
+        return cls.from_echelon(
+            field, ambient_dim,
+            echelon(field, _check_rows(field, vectors, ambient_dim)))
 
     @classmethod
     def from_echelon(cls, field: FieldSpec, ambient_dim: int,
                      basis: dict) -> "Subspace":
-        """The subspace spanned by the rows of an ``echelon`` result."""
-        return cls(field, ambient_dim, *_dense_rows(field, ambient_dim, basis))
+        """The subspace spanned by the rows of an ``echelon`` result; the
+        row dicts are kept, not copied."""
+        span = cls(field, ambient_dim)
+        span._basis = dict(sorted(basis.items()))
+        return span
 
     @classmethod
     def from_basis_indices(cls, field: FieldSpec, ambient_dim: int,
                            indices: Iterable[int]) -> "Subspace":
-        # Unit vectors at sorted distinct indices are already in RREF.
-        idx = tuple(sorted(set(indices)))
-        rows = tuple(unit_vector(field, ambient_dim, i) for i in idx)
-        return cls(field, ambient_dim, rows, idx)
+        # Unit vectors at distinct indices are already fully reduced.
+        return cls.from_echelon(field, ambient_dim, {
+            i: _unit_row(field, ambient_dim, i) for i in set(indices)})
+
+    @property
+    def pivots(self) -> tuple:
+        return tuple(self._basis)
+
+    @property
+    def rows(self) -> tuple:
+        """The rows as dense tuples, in pivot order."""
+        return tuple(to_dense(self.field, self.ambient_dim, row)
+                     for row in self._basis.values())
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._basis)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.rows
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return (self.field == other.field
+                and self.ambient_dim == other.ambient_dim
+                and self._basis == other._basis)
+
+    def __hash__(self):
+        return hash((self.field, self.ambient_dim, self.pivots))
+
+    def __repr__(self):
+        return (f"Subspace({self.field}, ambient_dim={self.ambient_dim}, "
+                f"pivots={self.pivots})")
 
     def sparse_rows(self):
         """The rows as sparse {column: value} dicts, in pivot order."""
         return self._basis.values()
 
-    def reduce(self, v: Vector) -> Vector:
-        """Eliminate v against the RREF rows; zero result means membership."""
+    def contains(self, v: Vector) -> bool:
+        """Membership of a dense coordinate vector."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError(
                 f"vector length {len(v)} != ambient {self.ambient_dim}"
             )
-        return to_dense(self.field, self.ambient_dim,
-                        _eliminate(self.field, to_sparse(v), self._basis))
-
-    def contains(self, v: Vector) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return self.contains_sparse(to_sparse(v))
 
     def contains_sparse(self, v: dict) -> bool:
         """Membership of a sparse vector {index: nonzero value}."""
@@ -337,11 +330,6 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
         return all(self.contains_sparse(row) for row in other.sparse_rows())
-
-    def with_vectors(self, vectors: Iterable[Vector]) -> "Subspace":
-        return Subspace.from_vectors(
-            self.field, self.ambient_dim, list(self.rows) + list(vectors)
-        )
 
     def basis_members(self) -> tuple:
         """Indices i whose unit vector lies in the subspace."""

@@ -43,7 +43,7 @@ from .graphs import (
     reachable_from,
     undirected_components,
 )
-from .scalars import Subspace, vec_is_zero
+from .scalars import Subspace
 
 __all__ = [
     "Decomposition",
@@ -91,8 +91,6 @@ def generated_ideal(algebra: LeibnizAlgebra, vector) -> Subspace:
     """The two-sided ideal generated by one vector (closure oracle)."""
     if len(vector) != algebra.dim:
         raise DimensionMismatchError("generator has wrong length")
-    if vec_is_zero(tuple(vector)):
-        return Subspace.from_vectors(algebra.field, algebra.dim, [])
     return ideal_closure(algebra, [tuple(vector)])
 
 
@@ -113,13 +111,6 @@ class _UnitIdeals(dict):
 # check_weak_division shares, so that each generator is closed once per
 # call; None outside such a call.
 _SHARED_UNIT_IDEALS: ContextVar = ContextVar("unit_ideals", default=None)
-
-
-def _unit_ideals(algebra: LeibnizAlgebra) -> _UnitIdeals:
-    shared = _SHARED_UNIT_IDEALS.get()
-    if shared is not None and shared.algebra is algebra:
-        return shared
-    return _UnitIdeals(algebra)
 
 
 @dataclass(frozen=True)
@@ -218,20 +209,32 @@ def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
       * i and k in the kernel part: v_i must lie in the ideal of v_k;
       * i, j and k all in the complement part: both v_i and v_j must lie
         in the ideal of v_k.
-    Returns (holds, violations); each violation is ((i, j), k, missing).
+    Returns (holds, violations); each violation is ((i, j), k, missing),
+    in table order.  The checks are grouped by k, so each ideal is closed
+    once and, outside cross_validate, dropped once its checks are done.
     """
     kernel = set(split.kernel)
-    ideals = _unit_ideals(algebra)
-    violations = []
-    for (i, j), (k, _c) in table.entries:
-        required = []
+    shared = _SHARED_UNIT_IDEALS.get()
+    if shared is not None and shared.algebra is not algebra:
+        shared = None
+    wanted: dict = {}  # k -> [(entry position, (i, j), member)]
+    for pos, ((i, j), (k, _c)) in enumerate(table.entries):
         if i in kernel and k in kernel:
-            required = [i]
+            members = (i,)
         elif i not in kernel and j not in kernel and k not in kernel:
-            required = [i, j]
-        for member in required:
-            if not ideals[k].contains(algebra.unit(member)):
-                violations.append(((i, j), k, member))
+            members = (i, j)
+        else:
+            continue
+        wanted.setdefault(k, []).extend((pos, (i, j), m) for m in members)
+    one = algebra.field.one
+    found = []
+    for k, checks in wanted.items():
+        ideal = (shared[k] if shared is not None
+                 else generated_ideal(algebra, algebra.unit(k)))
+        for pos, pair, member in checks:
+            if not ideal.contains_sparse({member: one}):
+                found.append((pos, (pair, k, member)))
+    violations = [v for _pos, v in sorted(found, key=lambda f: f[0])]
     return (not violations), violations
 
 
@@ -409,6 +412,7 @@ def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
         _SHARED_UNIT_IDEALS.reset(token)
 
     pairs = 0
+    one = algebra.field.one
     for part_graph in (facts.sub_k, facts.sub_j):
         for v in part_graph.vertices:
             members = set(reachable_from(part_graph, v))
@@ -416,7 +420,7 @@ def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
             del ideals[v]  # each vertex comes once: free its ideal after use
             for w in part_graph.vertices:
                 pairs += 1
-                if (w in members) != ideal.contains(algebra.unit(w)):
+                if (w in members) != ideal.contains_sparse({w: one}):
                     raise InternalInvariantViolation(
                         f"reachability and ideal closure disagree on "
                         f"({algebra.labels[v]}, {algebra.labels[w]})"

@@ -52,7 +52,7 @@ from leibniz_graphs.structure import (
     restrict_to_indices,
 )
 from leibniz_graphs.algebra import product as bracket
-from leibniz_graphs.scalars import vec_is_zero
+from vectors import vec_is_zero
 
 Q = FieldSpec.rationals()
 

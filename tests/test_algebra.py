@@ -26,7 +26,8 @@ from leibniz_graphs.errors import (
     NotMonomialError,
     ShapeViolationError,
 )
-from leibniz_graphs.scalars import FieldSpec, Subspace, unit_vector, zero_vector
+from leibniz_graphs.scalars import FieldSpec, Subspace, unit_vector
+from vectors import vec_add, zero_vector
 
 Q = FieldSpec.rationals()
 
@@ -206,6 +207,23 @@ def test_ideal_closure_golden_cases():
     alg, _ = five_dim()
     p_only = ideal_closure(alg, [unit_vector(Q, 5, 3)])
     assert p_only == Subspace.from_basis_indices(Q, 5, (3, 4))
+    # the same span built five ways is one value: equal and equally hashed
+    e3, e4 = unit_vector(Q, 5, 3), unit_vector(Q, 5, 4)
+    one = Q.one
+    same = [
+        Subspace(Q, 5, [e3, e4]),
+        Subspace.from_vectors(Q, 5, [vec_add(Q, e3, e4), e4]),
+        Subspace.from_basis_indices(Q, 5, (4, 3, 4)),
+        p_only,
+        Subspace.from_echelon(Q, 5, {4: {4: one}, 3: {3: one}}),
+    ]
+    assert all(span == p_only for span in same)
+    assert len({hash(span) for span in same}) == 1
+    assert all(span.rows == (e3, e4) and span.pivots == (3, 4)
+               for span in same)
+    # equal pivots alone do not make equal spans
+    assert Subspace.from_vectors(Q, 5, [vec_add(Q, e3, e4)]) != \
+        Subspace.from_basis_indices(Q, 5, (3,))
     # e generates everything: closure climbs e -> h -> f and pulls in p, q
     e_closure = ideal_closure(alg, [unit_vector(Q, 5, 0)])
     assert e_closure.rank == 5

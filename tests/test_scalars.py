@@ -13,16 +13,8 @@ from hypothesis import strategies as st
 
 from dense_reference import Scalar, scalar_arith
 from leibniz_graphs.errors import DimensionMismatchError, FieldMismatchError
-from leibniz_graphs.scalars import (
-    FieldSpec,
-    Subspace,
-    rref,
-    unit_vector,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    zero_vector,
-)
+from leibniz_graphs.scalars import FieldSpec, Subspace, rref, unit_vector
+from vectors import vec_add, vec_is_zero, vec_scale, with_vectors, zero_vector
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -192,6 +184,8 @@ def test_rref_idempotent_and_membership(data):
     again, pivots2 = rref(field, reduced, n)
     assert again == reduced and pivots2 == pivots
     assert list(pivots) == sorted(pivots)
+    assert Subspace.from_vectors(field, n, rows).rows == reduced
+    assert Subspace.from_vectors(field, n, rows).pivots == pivots
     # every pivot is 1 and alone in its column
     for r, c in enumerate(pivots):
         assert reduced[r][c] == field.one
@@ -209,8 +203,8 @@ def test_subspace_membership_is_rank_based():
     assert span.contains((_q(2), _q(3), _q(5)))
     assert not span.contains((_q(1), _q(0), _q(0)))
     # adding a member does not grow the span
-    assert span.with_vectors([(_q(2), _q(3), _q(5))]) == span
-    assert span.with_vectors([(_q(1), _q(0), _q(0))]).rank == 3
+    assert with_vectors(span, [(_q(2), _q(3), _q(5))]) == span
+    assert with_vectors(span, [(_q(1), _q(0), _q(0))]).rank == 3
 
 
 def test_subspace_from_basis_indices():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -31,7 +32,7 @@ from leibniz_graphs.graphs import (
     induced_subgraph,
     reachable_from,
 )
-from leibniz_graphs.scalars import FieldSpec, Subspace, unit_vector, zero_vector
+from leibniz_graphs.scalars import FieldSpec, Subspace, unit_vector
 from leibniz_graphs.structure import (
     ENUM_BOUND_ENV,
     analysis_report,
@@ -46,6 +47,7 @@ from leibniz_graphs.structure import (
     restrict_to_indices,
 )
 from structure_checks import check_ideal_absorption_props, simplicity_necessary
+from vectors import zero_vector
 
 Q = FieldSpec.rationals()
 
@@ -183,6 +185,22 @@ def test_weak_division_filiform_violations():
     # [e_2, e_1] = e_3 but e_2 is not in the ideal generated by e_3
     assert violations[0] == ((1, 0), 2, 1)
     assert len(violations) == 3
+
+
+def test_weak_division_memory_is_bounded():
+    # Each generator ideal is held as sparse rows and dropped once its
+    # checks are done; with a dense n-tuple per row and every ideal kept
+    # alive, this call peaked at 19.9 MB.
+    alg, split = odd_family(121)
+    table = to_multiplicative(alg, split, validate=False)
+    tracemalloc.start()
+    try:
+        holds, violations = check_weak_division(alg, table, split)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert holds and violations == []
+    assert peak < 2_000_000
 
 
 def test_reachability_matches_generated_ideal_inside_a_part():
@@ -398,7 +416,8 @@ def test_cross_validate_closes_each_generator_once_per_call(monkeypatch):
         assert set(closed) == every_unit
         assert set(closed.values()) == {1}
 
-    # outside cross_validate, check_weak_division keeps its own map
+    # outside cross_validate, check_weak_division closes each generator
+    # it needs once
     closed.clear()
     check_weak_division(alg, to_multiplicative(alg, split), split)
     assert closed and set(closed.values()) == {1}
