@@ -17,7 +17,6 @@ complement part J:
 from __future__ import annotations
 
 import os
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -92,25 +91,6 @@ def generated_ideal(algebra: LeibnizAlgebra, vector) -> Subspace:
     if len(vector) != algebra.dim:
         raise DimensionMismatchError("generator has wrong length")
     return ideal_closure(algebra, [tuple(vector)])
-
-
-class _UnitIdeals(dict):
-    """v -> the ideal generated by basis vector v_v, closed on first
-    lookup."""
-
-    def __init__(self, algebra: LeibnizAlgebra):
-        super().__init__()
-        self.algebra = algebra
-
-    def __missing__(self, v: int) -> Subspace:
-        ideal = self[v] = generated_ideal(self.algebra, self.algebra.unit(v))
-        return ideal
-
-
-# The _UnitIdeals of the cross_validate call in progress, which its
-# check_weak_division shares, so that each generator is closed once per
-# call; None outside such a call.
-_SHARED_UNIT_IDEALS: ContextVar = ContextVar("unit_ideals", default=None)
 
 
 @dataclass(frozen=True)
@@ -197,12 +177,13 @@ def restrict_to_indices(algebra: LeibnizAlgebra, split: BasisSplit,
                                           for k, c in coords.items()}
     labels = tuple(algebra.labels[v] for v in idx)
     sub = LeibnizAlgebra(algebra.field, labels, products, check=True)
-    sub_split = BasisSplit.of(m, (pos[v] for v in idx if v in set(split.kernel)))
+    kernel = set(split.kernel)
+    sub_split = BasisSplit.of(m, (pos[v] for v in idx if v in kernel))
     return sub, sub_split
 
 
 def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
-                        split: BasisSplit):
+                        split: BasisSplit, *, ideal_of=None):
     """Decide weak division by the ideal-closure oracle.
 
     For every table entry [v_i, v_j] = c * v_k:
@@ -210,13 +191,17 @@ def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
       * i, j and k all in the complement part: both v_i and v_j must lie
         in the ideal of v_k.
     Returns (holds, violations); each violation is ((i, j), k, missing),
-    in table order.  The checks are grouped by k, so each ideal is closed
-    once and, outside cross_validate, dropped once its checks are done.
+    in table order.
+
+    ``ideal_of(k)`` returns the ideal of v_k; by default it is closed by
+    generated_ideal.  The checks are grouped by k, so ``ideal_of`` is
+    asked once per output generator that has checks, and its result is
+    dropped once those checks are done.
     """
+    if ideal_of is None:
+        def ideal_of(k):
+            return generated_ideal(algebra, algebra.unit(k))
     kernel = set(split.kernel)
-    shared = _SHARED_UNIT_IDEALS.get()
-    if shared is not None and shared.algebra is not algebra:
-        shared = None
     wanted: dict = {}  # k -> [(entry position, (i, j), member)]
     for pos, ((i, j), (k, _c)) in enumerate(table.entries):
         if i in kernel and k in kernel:
@@ -229,8 +214,7 @@ def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     one = algebra.field.one
     found = []
     for k, checks in wanted.items():
-        ideal = (shared[k] if shared is not None
-                 else generated_ideal(algebra, algebra.unit(k)))
+        ideal = ideal_of(k)
         for pos, pair, member in checks:
             if not ideal.contains_sparse({member: one}):
                 found.append((pos, (pair, k, member)))
@@ -334,21 +318,53 @@ class _Analysis(NamedTuple):
     violations: list
     ideals: Optional[list]  # None when the oracle did not run
     verdict: MinimalityVerdict
+    pairs: int  # same-part pairs compared by reachability (0 if not asked)
 
 
 def _analyse(algebra: LeibnizAlgebra, table: MultiplicativeTable,
              split: BasisSplit, oracle: Optional[bool],
-             bound: Optional[int]) -> _Analysis:
+             bound: Optional[int], reachability: bool = False
+             ) -> _Analysis:
     """Build the graph and both part subgraphs, decide weak division by
     closure and, when the oracle runs, list the basis ideals, each once;
     then decide minimality from them and require every computed route to
-    agree."""
+    agree.
+
+    With ``reachability``, the ideal of each basis vector v is also
+    compared with same-part graph reachability from v: while
+    check_weak_division holds it, or right after that call for a vertex
+    it never asks for.  Each ideal is closed once, one at a time."""
     graph = build_graph(table, split)
     sub_k = induced_subgraph(graph, "kernel", split)
     sub_j = induced_subgraph(graph, "complement", split)
     strong_k = is_strongly_connected(sub_k)
     strong_j = is_strongly_connected(sub_j)
-    division, violations = check_weak_division(algebra, table, split)
+    pairs = 0
+    if reachability:
+        part_of = dict.fromkeys(sub_k.vertices, sub_k)
+        part_of.update(dict.fromkeys(sub_j.vertices, sub_j))
+        one = algebra.field.one
+
+        def ideal_of(v: int) -> Subspace:
+            nonlocal pairs
+            part = part_of.pop(v)
+            ideal = generated_ideal(algebra, algebra.unit(v))
+            members = set(reachable_from(part, v))
+            for w in part.vertices:
+                if (w in members) != ideal.contains_sparse({w: one}):
+                    raise InternalInvariantViolation(
+                        f"reachability and ideal closure disagree on "
+                        f"({algebra.labels[v]}, {algebra.labels[w]})"
+                    )
+            pairs += len(part.vertices)
+            return ideal
+
+        division, violations = check_weak_division(algebra, table, split,
+                                                   ideal_of=ideal_of)
+        for v in list(part_of):
+            ideal_of(v)
+    else:
+        division, violations = check_weak_division(algebra, table, split)
     connected_k = undirected_components(sub_k).count <= 1
     connected_j = undirected_components(sub_j).count <= 1
 
@@ -379,7 +395,7 @@ def _analyse(algebra: LeibnizAlgebra, table: MultiplicativeTable,
             f"oracle={oracle_result} graph={verdict.via_graph}"
         )
     return _Analysis(graph, sub_k, sub_j, division, violations, ideals,
-                     verdict)
+                     verdict, pairs)
 
 
 def check_minimality(algebra: LeibnizAlgebra, table: MultiplicativeTable,
@@ -401,30 +417,12 @@ def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
     reachability against ideal-closure membership (both parts, all
     pairs); weak division against weak symmetry of both part subgraphs.
     Returns counters for reporting.  The ideal of each basis vector is
-    computed by closure once per call and shared with check_weak_division.
+    closed once per call and compared with reachability while
+    check_weak_division holds it, so one ideal is held at a time.
     """
-    ideals = _UnitIdeals(algebra)
-    token = _SHARED_UNIT_IDEALS.set(ideals)
-    try:
-        table = to_multiplicative(algebra, split, validate=False)
-        facts = _analyse(algebra, table, split, oracle, bound)
-    finally:
-        _SHARED_UNIT_IDEALS.reset(token)
-
-    pairs = 0
-    one = algebra.field.one
-    for part_graph in (facts.sub_k, facts.sub_j):
-        for v in part_graph.vertices:
-            members = set(reachable_from(part_graph, v))
-            ideal = ideals[v]
-            del ideals[v]  # each vertex comes once: free its ideal after use
-            for w in part_graph.vertices:
-                pairs += 1
-                if (w in members) != ideal.contains_sparse({w: one}):
-                    raise InternalInvariantViolation(
-                        f"reachability and ideal closure disagree on "
-                        f"({algebra.labels[v]}, {algebra.labels[w]})"
-                    )
+    table = to_multiplicative(algebra, split, validate=False)
+    facts = _analyse(algebra, table, split, oracle, bound,
+                     reachability=True)
 
     sym_k, _wk = is_weakly_symmetric(facts.sub_k)
     sym_j, _wj = is_weakly_symmetric(facts.sub_j)
@@ -435,7 +433,7 @@ def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
         )
 
     return {
-        "reachability_pairs": pairs,
+        "reachability_pairs": facts.pairs,
         "weak_division": facts.division,
         "minimal": facts.verdict.minimal,
         "oracle_ran": facts.verdict.oracle_minimal is not None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from collections import Counter
 
@@ -187,20 +188,54 @@ def test_weak_division_filiform_violations():
     assert len(violations) == 3
 
 
+def _traced_peak(call):
+    """call() and the tracemalloc peak reached while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_weak_division_memory_is_bounded():
     # Each generator ideal is held as sparse rows and dropped once its
     # checks are done; with a dense n-tuple per row and every ideal kept
     # alive, this call peaked at 19.9 MB.
     alg, split = odd_family(121)
     table = to_multiplicative(alg, split, validate=False)
-    tracemalloc.start()
-    try:
-        holds, violations = check_weak_division(alg, table, split)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (holds, violations), peak = _traced_peak(
+        lambda: check_weak_division(alg, table, split))
     assert holds and violations == []
     assert peak < 2_000_000
+
+    # cross_validate holds one generator ideal at a time as well; with
+    # every ideal kept alive until its reachability loop, it peaked at
+    # 3.6 MB here.
+    alg, split = filiform(150)
+    stats, peak = _traced_peak(
+        lambda: cross_validate(alg, split, oracle=False))
+    assert stats["reachability_pairs"] == 149 * 149 + 1
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("vertex, pair", (
+    (3, "(e, h)"),     # an output generator: checked inside weak division
+    (1, "(e_0, e_1)"),  # only output of [u_d, u_d], which crosses the parts,
+                        # so weak division never asks for its ideal
+))
+def test_cross_validate_catches_a_lying_reachability(monkeypatch, vertex,
+                                                     pair):
+    alg, split = build_example("ud_plus_five")
+    real = structure.reachable_from
+
+    def lying(graph, v):
+        return (v,) if v == vertex else real(graph, v)
+
+    monkeypatch.setattr(structure, "reachable_from", lying)
+    with pytest.raises(InternalInvariantViolation, match=re.escape(pair)):
+        cross_validate(alg, split)
 
 
 def test_reachability_matches_generated_ideal_inside_a_part():
