@@ -65,14 +65,18 @@ EXIT_FALSE = 3
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise InputDocumentError(f"cannot read {path}: {exc.strerror}")
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputDocumentError(
             f"invalid JSON in {path}: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}"
         )
+    except ValueError as exc:  # e.g. an integer above the int digit limit
+        raise InputDocumentError(f"invalid JSON in {path}: {exc}")
 
 
 def _load_algebra(path: str):

@@ -17,10 +17,8 @@ byte-stable.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from importlib import resources
-
-import jsonschema
 
 from .algebra import (
     BasisSplit,
@@ -55,12 +53,77 @@ _SCHEMA_CACHE: dict = {}
 def load_schema(name: str) -> dict:
     """Load a shipped schema document ('algebra' or 'map')."""
     if name not in _SCHEMA_CACHE:
+        from importlib import resources
         path = resources.files(__package__) / "schemas" / f"{name}.v1.schema.json"
         _SCHEMA_CACHE[name] = json.loads(path.read_text())
     return _SCHEMA_CACHE[name]
 
 
+# The shape check below restates the two shipped schemas in plain Python.
+# It must be sound: whatever it accepts, jsonschema accepts.  It may be
+# stricter (integral floats, tuples, subclasses of dict, str or int), since
+# a rejection only hands the document to jsonschema, which then reports
+# its first error or finds none.
+_SCALAR_PATTERN = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")  # both schemas
+_ALGEBRA_REQUIRED = frozenset(("field", "labels", "products"))
+_ALGEBRA_KEYS = _ALGEBRA_REQUIRED | {"kernel"}
+_PRODUCT_KEYS = frozenset(("l", "r", "out", "c"))
+
+
+def _scalar_ok(value) -> bool:
+    # jsonschema applies "pattern" with re.search, so "1\n" matches here too
+    return type(value) is int or (
+        type(value) is str and _SCALAR_PATTERN.search(value) is not None)
+
+
+def _labels_ok(labels) -> bool:
+    return (type(labels) is list
+            and all(type(lab) is str and lab for lab in labels)
+            and len(set(labels)) == len(labels))
+
+
+def _field_ok(field) -> bool:
+    if type(field) is str:
+        return field == "Q"
+    return (type(field) is dict and field.keys() == {"p"}
+            and type(field["p"]) is int and field["p"] >= 2)
+
+
+def _product_ok(entry) -> bool:
+    return (type(entry) is dict and entry.keys() == _PRODUCT_KEYS
+            and type(entry["l"]) is str and type(entry["r"]) is str
+            and type(entry["out"]) is str and _scalar_ok(entry["c"]))
+
+
+def _algebra_shape_ok(doc) -> bool:
+    return (type(doc) is dict
+            and _ALGEBRA_REQUIRED <= doc.keys() <= _ALGEBRA_KEYS
+            and _field_ok(doc["field"])
+            and _labels_ok(doc["labels"])
+            and ("kernel" not in doc or _labels_ok(doc["kernel"]))
+            and type(doc["products"]) is list
+            and all(map(_product_ok, doc["products"])))
+
+
+def _map_shape_ok(doc) -> bool:
+    return (type(doc) is dict and doc.keys() == {"matrix"}
+            and type(doc["matrix"]) is list
+            and all(type(col) is list and all(map(_scalar_ok, col))
+                    for col in doc["matrix"]))
+
+
+_SHAPE_OK = {"algebra": _algebra_shape_ok, "map": _map_shape_ok}
+
+
 def _schema_validate(doc, name: str) -> None:
+    """Check doc against a shipped schema; raise its first error.
+
+    Valid documents pass the stdlib shape check and never import
+    jsonschema.  Only a document that check rejects goes through
+    jsonschema, whose first error (in JSON path order) is the message."""
+    if _SHAPE_OK[name](doc):
+        return
+    import jsonschema
     validator = jsonschema.Draft202012Validator(load_schema(name))
     errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
     if errors:

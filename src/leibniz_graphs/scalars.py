@@ -64,7 +64,12 @@ class FieldSpec:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is None:
+            return
+        if type(self.p) is not int:  # rejects bool and 5.0 as well
+            raise ValueError(
+                f"field modulus must be an integer, got {self.p!r}")
+        if not _is_prime(self.p):
             raise ValueError(f"field modulus must be prime, got {self.p}")
 
     @staticmethod

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +264,55 @@ def test_input_error_exits(tmp_path, capsys):
     }), encoding="utf-8")
     code, _out, err = _run(capsys, "validate", str(not_leibniz))
     assert code == EXIT_INPUT and "Leibniz identity fails" in err
+
+
+def test_integer_over_the_digit_limit_is_invalid_json(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"field": {"p": ' + "7" * 5000 + '}, "labels": ["a"], '
+                    '"products": []}', encoding="utf-8")
+    code, out, err = _run(capsys, "validate", str(huge))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"error: invalid JSON in {huge}: ")
+    assert "digits" in err
+
+
+def test_valid_documents_never_import_jsonschema(five_dim_doc, filiform_doc,
+                                                 tmp_path, capsys):
+    odd = tmp_path / "odd.json"
+    assert _run(capsys, "corpus", "export", "odd_family", "--n", "15",
+                "-o", str(odd))[0] == EXIT_OK
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps({"matrix": [
+        ["1" if i == j else "0" for i in range(5)] for j in range(5)]}))
+    runs = [
+        (["validate", str(odd)], EXIT_OK),
+        (["minimal", str(odd)], EXIT_OK),
+        (["minimal", filiform_doc, "--format", "text"], EXIT_FALSE),
+        (["weakdiv", str(odd)], EXIT_OK),
+        (["weakdiv", filiform_doc], EXIT_FALSE),
+        (["graph", five_dim_doc, "--format", "dot"], EXIT_OK),
+        (["equiv", five_dim_doc, "--map", str(identity)], EXIT_OK),
+    ]
+    script = (
+        "import json, sys\n"
+        "from leibniz_graphs.cli import main\n"
+        "codes = [main(argv + ['-o', sys.argv[1]]) for argv in json.loads("
+        "sys.argv[2])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules "
+        "if m.partition('.')[0] == 'jsonschema')]))\n"
+    )
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out"),
+         json.dumps([argv for argv, _code in runs])],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, imported = json.loads(done.stdout)
+    assert codes == [code for _argv, code in runs]
+    assert imported == []
 
 
 def test_corpus_list_and_export_errors(capsys):

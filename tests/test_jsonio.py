@@ -169,6 +169,13 @@ def test_field_codec():
         field_from_json({"p": 6})
     with pytest.raises(InputDocumentError):
         field_from_json("R")
+    # the schema's "integer" admits 5.0, so the modulus is checked again
+    for modulus in (5.0, True, "5"):
+        with pytest.raises(InputDocumentError) as exc:
+            field_from_json({"p": modulus})
+        assert exc.value.path == "$.field.p"
+        with pytest.raises(ValueError, match="must be an integer"):
+            FieldSpec.prime(modulus)
 
 
 def test_scalar_emission_is_canonical():
