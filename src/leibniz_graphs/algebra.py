@@ -216,49 +216,61 @@ def check_leibniz(algebra: LeibnizAlgebra, *, stop_early: bool = False):
     ``stop_early`` the scan returns at the first violation (rejection
     sampling does not need the full list).
 
-    Each term needs one nonzero product among [v_j, v_k], [v_j, v_i] and
-    [v_k, v_i], so only those triples are visited, in (j, k, i) order.
+    A term can be nonzero only along a two-step product path:
+    [[v_j, v_k], v_i] needs k in row j, some m in the support of
+    [v_j, v_k] and i in row m; [[v_j, v_i], v_k] the same with k and i
+    swapped; [v_j, [v_k, v_i]] some m in the support of [v_k, v_i] with
+    [v_j, v_m] nonzero.  Only the triples on such a path are visited,
+    still in (j, k, i) order, and every other residual is identically
+    zero.  With P such paths the check costs O(P log P); P is about
+    three times the number of nonzero products on the corpus families.
     """
     n = algebra.dim
     field = algebra.field
     left = algebra._left
-    busy = [k for k in range(n) if left[k]]
-    everything = range(n)
+    # into[m]: every (k, i), coded k * n + i, with m in supp [v_k, v_i]
+    into = [[] for _ in range(n)]
+    for (k, i), coords in algebra.products.items():
+        for m in coords:
+            into[m].append(k * n + i)
     violations = []
     for j in range(n):
         row_j = left[j]
-        for k in (everything if row_j else busy):
-            row_k = left[k]
+        if not row_j:      # every term brackets v_j on the left
+            continue
+        pairs = set()
+        for x, jx in row_j.items():
+            for m in jx:
+                for y in left[m]:
+                    pairs.add(x * n + y)   # k = x, i = y: [[v_j, v_k], v_i]
+                    pairs.add(y * n + x)   # i = x, k = y: [[v_j, v_i], v_k]
+            pairs.update(into[x])          # m = x: [v_j, [v_k, v_i]]
+        for pair in sorted(pairs):
+            k, i = divmod(pair, n)
+            acc: dict = {}
             jk = row_j.get(k)
-            if jk is not None:
-                candidates = everything
-            else:
-                candidates = sorted(row_j.keys() | row_k.keys())
-            for i in candidates:
-                acc: dict = {}
-                if jk is not None:        # [[v_j, v_k], v_i]
-                    for m, c in jk.items():
-                        coords = left[m].get(i)
-                        if coords is not None:
-                            add_scaled(acc, c, coords)
-                ji = row_j.get(i)
-                if ji is not None:        # - [[v_j, v_i], v_k]
-                    for m, c in ji.items():
-                        coords = left[m].get(k)
-                        if coords is not None:
-                            add_scaled(acc, -c, coords)
-                ki = row_k.get(i)
-                if ki is not None:        # - [v_j, [v_k, v_i]]
-                    for m, c in ki.items():
-                        coords = row_j.get(m)
-                        if coords is not None:
-                            add_scaled(acc, -c, coords)
-                residual = prune(field, acc)
-                if residual:
-                    violations.append(
-                        (i, j, k, to_dense(field, n, residual)))
-                    if stop_early:
-                        return violations
+            if jk is not None:            # [[v_j, v_k], v_i]
+                for m, c in jk.items():
+                    coords = left[m].get(i)
+                    if coords is not None:
+                        add_scaled(acc, c, coords)
+            ji = row_j.get(i)
+            if ji is not None:            # - [[v_j, v_i], v_k]
+                for m, c in ji.items():
+                    coords = left[m].get(k)
+                    if coords is not None:
+                        add_scaled(acc, -c, coords)
+            ki = left[k].get(i)
+            if ki is not None:            # - [v_j, [v_k, v_i]]
+                for m, c in ki.items():
+                    coords = row_j.get(m)
+                    if coords is not None:
+                        add_scaled(acc, -c, coords)
+            residual = prune(field, acc)
+            if residual:
+                violations.append((i, j, k, to_dense(field, n, residual)))
+                if stop_early:
+                    return violations
     if not violations:
         algebra.identity_verified = True
     return violations

@@ -64,10 +64,19 @@ EXIT_FALSE = 3
 
 def _read_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise InputDocumentError(f"cannot read {path}: {exc.strerror}")
+    try:
+        # decoded whole, so the offset counts bytes of the file; newlines
+        # are read as text mode reads them
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise InputDocumentError(
+            f"invalid JSON in {path}: not UTF-8 text ({exc.reason} at "
+            f"byte {exc.start})"
+        )
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -77,6 +86,10 @@ def _read_json(path: str) -> dict:
         )
     except ValueError as exc:  # e.g. an integer above the int digit limit
         raise InputDocumentError(f"invalid JSON in {path}: {exc}")
+    except RecursionError:
+        raise InputDocumentError(
+            f"invalid JSON in {path}: arrays or objects nested too deeply"
+        )
 
 
 def _load_algebra(path: str):

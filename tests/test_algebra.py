@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import leibniz_graphs.algebra as algebra_module
 from leibniz_graphs.algebra import (
     BasisSplit,
     LeibnizAlgebra,
@@ -17,7 +18,7 @@ from leibniz_graphs.algebra import (
     to_multiplicative,
     validate_split,
 )
-from leibniz_graphs.corpus import filiform, five_dim, ud_component
+from leibniz_graphs.corpus import filiform, five_dim, odd_family, ud_component
 from leibniz_graphs.errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -111,6 +112,97 @@ def test_stop_early_returns_single_violation():
     first = check_leibniz(alg, stop_early=True)
     assert len(first) == 1
     assert first[0] in check_leibniz(alg)
+
+
+def _plain_violations(alg):
+    """Every basis triple violating the identity, found by trying all n^3
+    of them with dict lookups on ``alg.products`` and Python arithmetic
+    reduced mod p at the end; nothing is shared with check_leibniz."""
+    n, prods, p = alg.dim, alg.products, alg.field.p
+    found = []
+    for j in range(n):
+        for k in range(n):
+            for i in range(n):
+                r = [0] * n
+                for m, c in prods.get((j, k), {}).items():
+                    for t, d in prods.get((m, i), {}).items():
+                        r[t] += c * d
+                for m, c in prods.get((j, i), {}).items():
+                    for t, d in prods.get((m, k), {}).items():
+                        r[t] -= c * d
+                for m, c in prods.get((k, i), {}).items():
+                    for t, d in prods.get((j, m), {}).items():
+                        r[t] -= c * d
+                if p is not None:
+                    r = [x % p for x in r]
+                if any(r):
+                    found.append((i, j, k, tuple(r)))
+    return found
+
+
+def _one_coefficient_mutants(alg, seed):
+    """Three unchecked copies of alg, each with one structure constant
+    changed: an existing coefficient shifted by one, a second coordinate
+    set to one in a nonzero product, and a zero product set to a basis
+    vector."""
+    field, n = alg.field, alg.dim
+    rng = random.Random(seed)
+    pairs = sorted(alg.products)
+    tables = []
+    for change in ("shift", "widen", "plant"):
+        table = {pair: dict(coords) for pair, coords in alg.products.items()}
+        if change == "plant":
+            pair = rng.choice([(i, j) for i in range(n) for j in range(n)
+                               if (i, j) not in table])
+            table[pair] = {rng.randrange(n): field.one}
+        else:
+            coords = table[rng.choice(pairs)]
+            if change == "shift":
+                k = rng.choice(sorted(coords))
+                coords[k] = field.add(coords[k], field.one)
+            else:
+                coords[rng.choice([k for k in range(n)
+                                   if k not in coords])] = field.one
+        tables.append(table)
+    return [LeibnizAlgebra(field, alg.labels, table, check=False)
+            for table in tables]
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: odd_family(31), id="odd_family(31)/Q"),
+    pytest.param(lambda: odd_family(31, FieldSpec.prime(998244353)),
+                 id="odd_family(31)/GF(p)"),
+    pytest.param(lambda: filiform(40), id="filiform(40)/Q"),
+    pytest.param(lambda: filiform(40, FieldSpec.prime(3)),
+                 id="filiform(40)/GF(3)"),
+])
+def test_identity_check_matches_plain_cubic_loop(build):
+    alg, _split = build()
+    assert check_leibniz(alg) == _plain_violations(alg) == []
+    broken = 0
+    for mutant in _one_coefficient_mutants(alg, alg.dim):
+        want = _plain_violations(mutant)
+        broken += bool(want)
+        assert check_leibniz(mutant) == want
+        assert check_leibniz(mutant, stop_early=True) == want[:1]
+    assert broken
+
+
+@pytest.mark.parametrize("build, n", [(filiform, 2000), (odd_family, 1201)])
+def test_identity_check_visits_linearly_many_triples(build, n, monkeypatch):
+    # check_leibniz prunes one residual per visited triple; trying every
+    # i for each nonzero [v_j, v_k] would make about E * n calls
+    alg, _split = build(n)
+    calls = []
+    real_prune = algebra_module.prune
+
+    def counting_prune(field, v):
+        calls.append(None)
+        return real_prune(field, v)
+
+    monkeypatch.setattr(algebra_module, "prune", counting_prune)
+    assert check_leibniz(alg) == []
+    assert len(calls) <= 4 * len(alg.products)
 
 
 def test_constructor_validates_shape():

@@ -182,6 +182,44 @@ def test_prime_field_mutants_match_dense_reference(drawn):
     _assert_mutant_agrees(*drawn)
 
 
+# -- random tables with multi-coordinate products ---------------------------
+
+RANDOM_TABLES = 300
+
+
+def _random_table(rng):
+    """An unchecked algebra of dimension 1-6 over GF(2), GF(3) or Q whose
+    nonzero products have one to three coordinates each."""
+    field = rng.choice((FieldSpec.prime(2), FieldSpec.prime(3), Q))
+    n = rng.randint(1, 6)
+    products = {}
+    for _ in range(rng.randint(0, 2 * n)):
+        coords = {}
+        for _ in range(rng.randint(1, 3)):
+            if field.is_rationals:
+                c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                             rng.randint(1, 3))
+            else:
+                c = rng.randrange(1, field.p)
+            coords[rng.randrange(n)] = c
+        products[(rng.randrange(n), rng.randrange(n))] = coords
+    labels = tuple(f"v_{i}" for i in range(n))
+    return LeibnizAlgebra(field, labels, products, check=False)
+
+
+def test_random_tables_match_dense_reference():
+    rng = random.Random(2024)
+    broken = 0
+    for _ in range(RANDOM_TABLES):
+        alg = _random_table(rng)
+        want = _reference_violations(alg, ref.dense_tensor(alg))
+        broken += bool(want)
+        assert check_leibniz(alg, stop_early=True) == want[:1]
+        assert check_leibniz(alg) == want
+    # both verdicts occur
+    assert 0 < broken < RANDOM_TABLES
+
+
 # -- basis-ideal listing against the 2^n brute force -----------------------
 
 def _assert_listing_complete(alg):

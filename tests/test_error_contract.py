@@ -162,7 +162,7 @@ def _map_cases():
 
 
 _RAW_CASES = [
-    # (name, argv, {file name: text})
+    # (name, argv, {file name: text, or bytes written as they are})
     ("json_not_json", ["validate", "doc.json"], {"doc.json": "{not json"}),
     ("json_empty_file", ["validate", "doc.json"], {"doc.json": ""}),
     ("json_trailing_comma", ["validate", "doc.json"],
@@ -177,11 +177,19 @@ _RAW_CASES = [
      {"doc.json": json.dumps(_edit(BASE, ["products", 2, "c"], "1/0"))}),
     ("graph_broken_document", ["graph", "doc.json", "--format", "dot"],
      {"doc.json": json.dumps(_edit(BASE, ["field"], {"p": 1}))}),
+    ("json_nested_too_deeply", ["validate", "doc.json"],
+     {"doc.json": "[" * 100000}),
+    ("json_not_utf8", ["validate", "doc.json"],
+     {"doc.json": json.dumps(_edit(BASE, ["labels", 0], "\u00e9"),
+                             ensure_ascii=False).encode("latin-1")}),
+    ("equiv_map_not_utf8", ["equiv", "doc.json", "--map", "map.json"],
+     {"doc.json": json.dumps(BASE),
+      "map.json": b"\xff" + json.dumps(IDENTITY_MAP).encode()}),
 ]
 
 
 def cases():
-    """Every case as (name, argv, {file name: text})."""
+    """Every case as (name, argv, {file name: text or bytes})."""
     for name, doc in _algebra_cases():
         yield name, ["validate", "doc.json"], {"doc.json": json.dumps(doc)}
     for name, doc in _map_cases():
@@ -192,8 +200,11 @@ def cases():
 
 def run_case(directory: Path, argv, files) -> dict:
     """Write files into directory and run the CLI there."""
-    for file_name, text in files.items():
-        (directory / file_name).write_text(text, encoding="utf-8")
+    for file_name, content in files.items():
+        if isinstance(content, bytes):
+            (directory / file_name).write_bytes(content)
+        else:
+            (directory / file_name).write_text(content, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(directory)
