@@ -22,6 +22,7 @@ with dim^3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -206,6 +207,13 @@ def basis_brackets(algebra: LeibnizAlgebra, w: dict):
             yield v
 
 
+def unit_brackets(algebra: LeibnizAlgebra, m: int):
+    """Every nonzero [v_m, v_i] and [v_i, v_m], as the stored product
+    coordinates; these span the brackets of v_m with the whole algebra.
+    Nothing is computed: the row and column indexes hold them."""
+    return chain(algebra._left[m].values(), algebra._right[m].values())
+
+
 def check_leibniz(algebra: LeibnizAlgebra, *, stop_early: bool = False):
     """All basis triples violating the identity, with their residuals.
 
@@ -284,24 +292,54 @@ def _ensure_leibniz(algebra: LeibnizAlgebra):
 
 
 def _close(algebra: LeibnizAlgebra, seeds: Iterable[dict]) -> Subspace:
-    # Worklist closure: every vector that enters the span has its basis
-    # brackets reduced into it once.  The vectors that entered span the
-    # ideal, so bilinearity makes that enough.
-    field = algebra.field
-    basis: dict = {}
-    queue: list = []
+    """The span of the seeds closed under brackets with basis vectors on
+    both sides, as a reduced echelon subspace.
 
-    def admit(vectors):
+    Worklist closure: every vector that enters the span has its basis
+    brackets reduced into it once.  The vectors that entered span the
+    ideal, so bilinearity makes that enough.
+
+    Two shortcuts skip the field arithmetic.  While every row is a unit
+    row {w: one}, a vector whose support lies in the pivots adds nothing
+    and a monomial c * v_w adds the row {w: one}; the first vector that
+    would add a row with two entries goes through ``echelon``, and so
+    does every vector after it.  And the brackets of a monomial c * v_m
+    span what the brackets of v_m span, which the product indexes hold
+    (``unit_brackets``).  On a multiplicative basis a closure of basis
+    vectors takes only shortcuts.  The reduced echelon form of a span is
+    unique, so they do not change the result.
+    """
+    field = algebra.field
+    one = field.one
+    left, right = algebra._left, algebra._right
+    basis: dict = {}
+    queue: list = []      # admitted vectors whose brackets are unread
+    unit_rows = True      # every row of basis is a unit row
+    vectors = seeds
+    while True:
         for v in vectors:
+            if unit_rows:
+                if len(v) == 1:
+                    (w,) = v
+                    if w not in basis:
+                        basis[w] = {w: one}
+                        queue.append(v)
+                    continue
+                if basis.keys() >= v.keys():
+                    continue
+                unit_rows = False
             rank = len(basis)
             echelon(field, [v], basis)
             if len(basis) > rank:
                 queue.append(v)
-
-    admit(seeds)
-    while queue:
-        admit(basis_brackets(algebra, queue.pop()))
-    return Subspace.from_echelon(field, algebra.dim, basis)
+        if not queue:
+            return Subspace.from_echelon(field, algebra.dim, basis)
+        v = queue.pop()
+        if len(v) == 1:
+            (m,) = v      # unit_brackets(algebra, m), inlined
+            vectors = chain(left[m].values(), right[m].values())
+        else:
+            vectors = basis_brackets(algebra, v)
 
 
 def ideal_closure(algebra: LeibnizAlgebra, seed_vectors: Iterable) -> Subspace:

@@ -114,15 +114,50 @@ def _map_shape_ok(doc) -> bool:
 
 _SHAPE_OK = {"algebra": _algebra_shape_ok, "map": _map_shape_ok}
 
+# Valid documents nest arrays and objects three levels deep.  jsonschema
+# recurses once per level when it quotes a value in a message, so a
+# rejected document nested close to the interpreter's recursion limit
+# would exhaust the stack there; such documents are refused first, at a
+# depth that does not depend on the caller's stack.
+MAX_NESTING = 32
+
+
+def _too_deep(doc):
+    """The JSON path of the first array or object (in JSON path order)
+    nested more than MAX_NESTING levels deep, the document itself being
+    level one; None if there is none.  Iterative, so any depth is safe."""
+    found = []
+    stack = [(doc, "$", 1)]
+    while stack:
+        value, path, level = stack.pop()
+        if type(value) is list:
+            items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+        elif type(value) is dict:
+            items = [(f"{path}.{k}", v) for k, v in value.items()]
+        else:
+            continue
+        if level > MAX_NESTING:
+            found.append(path)
+        else:
+            stack.extend((v, p, level + 1) for p, v in items)
+    return min(found, default=None)
+
 
 def _schema_validate(doc, name: str) -> None:
     """Check doc against a shipped schema; raise its first error.
 
     Valid documents pass the stdlib shape check and never import
-    jsonschema.  Only a document that check rejects goes through
-    jsonschema, whose first error (in JSON path order) is the message."""
+    jsonschema.  A document that check rejects is first searched for
+    nesting deeper than MAX_NESTING, reported at its JSON path; any
+    other goes through jsonschema, whose first error (in JSON path
+    order) is the message."""
     if _SHAPE_OK[name](doc):
         return
+    deep = _too_deep(doc)
+    if deep is not None:
+        raise InputDocumentError(
+            f"arrays or objects nested more than {MAX_NESTING} levels deep",
+            deep)
     import jsonschema
     validator = jsonschema.Draft202012Validator(load_schema(name))
     errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)

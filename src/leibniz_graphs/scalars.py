@@ -328,7 +328,17 @@ class Subspace:
         return self.contains_sparse(to_sparse(v))
 
     def contains_sparse(self, v: dict) -> bool:
-        """Membership of a sparse vector {index: nonzero value}."""
+        """Membership of a sparse vector {index: nonzero value}.
+
+        A vector of the span is the sum of its pivot entries times their
+        rows, so a multiple of one unit vector v_w lies in it iff w is a
+        pivot whose row has no other entry.  That case costs one lookup
+        and no field arithmetic; any other vector is reduced against the
+        rows."""
+        if len(v) == 1:
+            (w,) = v
+            row = self._basis.get(w)
+            return row is not None and len(row) == 1
         return not _eliminate(self.field, dict(v), self._basis)
 
     def contains_subspace(self, other: "Subspace") -> bool:

@@ -27,6 +27,7 @@ from .algebra import (
     basis_brackets,
     ideal_closure,
     to_multiplicative,
+    unit_brackets,
 )
 from .errors import (
     DimensionMismatchError,
@@ -77,12 +78,24 @@ def enumeration_bound() -> int:
 
 
 def is_ideal(algebra: LeibnizAlgebra, subspace: Subspace) -> bool:
-    """Brute-force two-sided ideal test: [s, v_i] and [v_i, s] stay in the
-    subspace for every spanning row s and every basis vector v_i."""
+    """Two-sided ideal test: [s, v_i] and [v_i, s] stay in the subspace
+    for every spanning row s and every basis vector v_i.
+
+    When every row is a unit row, the subspace is the span of its pivot
+    set, and it is an ideal iff every product with a factor in that set
+    has its support inside the set: a set test per stored product, with
+    no field arithmetic.  Other subspaces reduce each bracket against
+    their rows."""
     if subspace.ambient_dim != algebra.dim:
         raise DimensionMismatchError("subspace ambient dim != algebra dim")
+    rows = subspace.sparse_rows()
+    if all(len(s) == 1 for s in rows):
+        members = set(subspace.pivots)
+        return all(coords.keys() <= members
+                   for m in members
+                   for coords in unit_brackets(algebra, m))
     return all(subspace.contains_sparse(v)
-               for s in subspace.sparse_rows()
+               for s in rows
                for v in basis_brackets(algebra, s))
 
 

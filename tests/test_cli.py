@@ -276,6 +276,14 @@ def test_integer_over_the_digit_limit_is_invalid_json(tmp_path, capsys):
     assert "digits" in err
 
 
+def _pythonpath_env() -> dict:
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_valid_documents_never_import_jsonschema(five_dim_doc, filiform_doc,
                                                  tmp_path, capsys):
     odd = tmp_path / "odd.json"
@@ -301,18 +309,48 @@ def test_valid_documents_never_import_jsonschema(five_dim_doc, filiform_doc,
         "print(json.dumps([codes, sorted(m for m in sys.modules "
         "if m.partition('.')[0] == 'jsonschema')]))\n"
     )
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(src), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "out"),
          json.dumps([argv for argv, _code in runs])],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_pythonpath_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     codes, imported = json.loads(done.stdout)
     assert codes == [code for _argv, code in runs]
     assert imported == []
+
+
+@pytest.mark.parametrize("where, depth", [
+    ("c", 982), ("c", 985), ("field", 985), ("matrix", 985),
+])
+def test_nesting_near_the_recursion_limit_is_an_input_error(
+        where, depth, five_dim_doc, tmp_path):
+    # A rejected value nested this deep used to exhaust the stack while
+    # jsonschema quoted it.  A fresh interpreter gives the stack depth a
+    # user's command has.
+    doc = json.loads(Path(five_dim_doc).read_text(encoding="utf-8"))
+    columns = [["1" if i == j else "0" for i in range(5)] for j in range(5)]
+    argv = ["validate", str(tmp_path / "doc.json")]
+    if where == "c":
+        doc["products"][2]["c"] = "@"
+        path = "$.products[2].c" + "[0]" * 29
+    elif where == "field":
+        doc["field"] = "@"
+        path = "$.field" + "[0]" * 31
+    else:
+        columns[1][1] = "@"
+        path = "$.matrix[1][1]" + "[0]" * 29
+        argv = ["equiv", argv[1], "--map", str(tmp_path / "map.json")]
+    nested = "[" * depth + '"1"' + "]" * depth
+    for name, value in (("doc.json", doc), ("map.json", {"matrix": columns})):
+        (tmp_path / name).write_text(
+            json.dumps(value).replace('"@"', nested), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "leibniz_graphs.cli", *argv],
+        env=_pythonpath_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        EXIT_INPUT, "",
+        f"error: {path}: arrays or objects nested more than 32 levels "
+        f"deep\n")
 
 
 def test_corpus_list_and_export_errors(capsys):

@@ -154,6 +154,21 @@ def mutants(draw, field_name):
     return mutant, tuple(sorted(subset))
 
 
+def _assert_unit_closures_agree(alg, tensor) -> int:
+    """Compare the ideal of every basis vector with the reference; return
+    how many of them are not spanned by basis vectors.  Each of those
+    closures starts on unit rows and then meets a bracket with two or
+    more coordinates."""
+    field, n = alg.field, alg.dim
+    mixed = 0
+    for i in range(n):
+        got = ideal_closure(alg, [alg.unit(i)])
+        assert got.rows == ref.ideal_closure(
+            field, tensor, [ref.unit_vector(field, n, i)]).value_rows(), i
+        mixed += len(got.basis_members()) < got.rank
+    return mixed
+
+
 def _assert_mutant_agrees(mutant, subset):
     field, n = mutant.field, mutant.dim
     tensor = ref.dense_tensor(mutant)
@@ -163,6 +178,7 @@ def _assert_mutant_agrees(mutant, subset):
     if not want:
         assert leibniz_kernel(mutant).rows == \
             ref.leibniz_kernel(field, tensor).value_rows()
+    _assert_unit_closures_agree(mutant, tensor)
     got = is_ideal(mutant, Subspace.from_basis_indices(field, n, subset))
     assert got == ref.is_ideal(
         field, tensor, ref.Subspace.from_basis_indices(field, n, subset))
@@ -209,15 +225,27 @@ def _random_table(rng):
 
 def test_random_tables_match_dense_reference():
     rng = random.Random(2024)
-    broken = 0
+    broken = mixed = 0
     for _ in range(RANDOM_TABLES):
         alg = _random_table(rng)
-        want = _reference_violations(alg, ref.dense_tensor(alg))
+        field, n = alg.field, alg.dim
+        tensor = ref.dense_tensor(alg)
+        want = _reference_violations(alg, tensor)
         broken += bool(want)
         assert check_leibniz(alg, stop_early=True) == want[:1]
         assert check_leibniz(alg) == want
-    # both verdicts occur
+        if not want:
+            assert leibniz_kernel(alg).rows == \
+                ref.leibniz_kernel(field, tensor).value_rows()
+        mixed += _assert_unit_closures_agree(alg, tensor)
+        # is_ideal on a span that is not a coordinate subspace
+        x = _random_vector(field, n, rng)
+        span = Subspace.from_vectors(field, n, [x])
+        assert is_ideal(alg, span) == ref.is_ideal(
+            field, tensor, ref.Subspace(field, n, [ref.scalars(field, x)]))
+    # both verdicts occur, and closures that leave the unit rows
     assert 0 < broken < RANDOM_TABLES
+    assert mixed > 0
 
 
 # -- basis-ideal listing against the 2^n brute force -----------------------

@@ -161,6 +161,39 @@ def _map_cases():
     ]
 
 
+def _nested(base, path, depth: int) -> str:
+    """The JSON text of base with the item at path replaced by the string
+    "2" wrapped in ``depth`` arrays; built as text, so the depth is not
+    limited by the encoder's recursion."""
+    marker = "@nested@"
+    text = json.dumps(_edit(base, path, marker))
+    return text.replace(json.dumps(marker),
+                        "[" * depth + '"2"' + "]" * depth)
+
+
+# A document nests three levels where ``c`` sits (the document, the
+# product list, the product), so ``c`` wrapped in 29 arrays reaches the
+# nesting limit of 32 and one more array passes it.
+_NESTING_CASES = [
+    ("c_nested_at_limit", ["validate", "doc.json"],
+     {"doc.json": _nested(BASE, ["products", 2, "c"], 29)}),
+    ("c_nested_past_limit", ["validate", "doc.json"],
+     {"doc.json": _nested(BASE, ["products", 2, "c"], 30)}),
+    ("c_nested_deeply", ["validate", "doc.json"],
+     {"doc.json": _nested(BASE, ["products", 2, "c"], 500)}),
+    ("field_nested_deeply", ["validate", "doc.json"],
+     {"doc.json": _nested(BASE, ["field"], 500)}),
+    ("kernel_label_nested_deeply", ["minimal", "doc.json"],
+     {"doc.json": _nested(BASE, ["kernel", 0], 500)}),
+    ("map_entry_nested_deeply", ["equiv", "doc.json", "--map", "map.json"],
+     {"doc.json": json.dumps(BASE),
+      "map.json": _nested(IDENTITY_MAP, ["matrix", 1, 1], 500)}),
+    ("map_matrix_nested_deeply", ["equiv", "doc.json", "--map", "map.json"],
+     {"doc.json": json.dumps(BASE),
+      "map.json": _nested(IDENTITY_MAP, ["matrix"], 500)}),
+]
+
+
 _RAW_CASES = [
     # (name, argv, {file name: text, or bytes written as they are})
     ("json_not_json", ["validate", "doc.json"], {"doc.json": "{not json"}),
@@ -196,6 +229,7 @@ def cases():
         yield (name, ["equiv", "doc.json", "--map", "map.json"],
                {"doc.json": json.dumps(BASE), "map.json": json.dumps(doc)})
     yield from _RAW_CASES
+    yield from _NESTING_CASES
 
 
 def run_case(directory: Path, argv, files) -> dict:

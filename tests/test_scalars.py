@@ -8,9 +8,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dense_reference as ref
 from dense_reference import Scalar, scalar_arith
 from leibniz_graphs.errors import DimensionMismatchError, FieldMismatchError
 from leibniz_graphs.scalars import FieldSpec, Subspace, rref, unit_vector
@@ -205,6 +206,45 @@ def test_subspace_membership_is_rank_based():
     # adding a member does not grow the span
     assert with_vectors(span, [(_q(2), _q(3), _q(5))]) == span
     assert with_vectors(span, [(_q(1), _q(0), _q(0))]).rank == 3
+
+
+def test_single_coordinate_membership_cases():
+    # rows {0: 1, 1: 2} and {2: 1}: a pivot row with an extra entry, a
+    # non-pivot column and a unit row, each asked with c != 1
+    span = Subspace.from_vectors(Q, 3, [(_q(1), _q(2), _q(0)),
+                                        (_q(0), _q(0), _q(3))])
+    assert span.pivots == (0, 2)
+    assert not span.contains_sparse({0: _q(3)})
+    assert not span.contains_sparse({1: _q(3)})
+    assert span.contains_sparse({2: _q(3)})
+    assert span.basis_members() == (2,)
+
+
+BIG = FieldSpec.prime(998244353)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_single_coordinate_membership_matches_full_elimination(data):
+    # contains_sparse answers {w: c} by one row lookup; the dense
+    # reference eliminates c * v_w against every row
+    field, values = data.draw(st.sampled_from([
+        (Q, rational_values), (F5, residues5),
+        (BIG, st.integers(min_value=0, max_value=BIG.p - 1)),
+    ]))
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    m = data.draw(st.integers(min_value=1, max_value=n - 1))
+    rows = data.draw(_random_matrix(field, values, m, n))
+    span = Subspace.from_vectors(field, n, rows)
+    assume(any(len(row) > 1 for row in span.sparse_rows()))
+    dense = ref.Subspace(field, n, [ref.scalars(field, row) for row in rows])
+    c = field.scalar(data.draw(values.filter(lambda x: field.scalar(x))))
+    for w in range(n):
+        want = dense.contains(ref.scalars(field, (
+            c if k == w else field.zero for k in range(n))))
+        assert span.contains_sparse({w: c}) == want, (w, c)
+        assert span.contains(tuple(
+            c if k == w else field.zero for k in range(n))) == want
 
 
 def test_subspace_from_basis_indices():

@@ -8,6 +8,8 @@ from collections import Counter
 
 import pytest
 
+from leibniz_graphs import algebra as algebra_module
+from leibniz_graphs import scalars as scalars_module
 from leibniz_graphs import structure
 
 from leibniz_graphs.algebra import (
@@ -218,6 +220,49 @@ def test_weak_division_memory_is_bounded():
         lambda: cross_validate(alg, split, oracle=False))
     assert stats["reachability_pairs"] == 149 * 149 + 1
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("build, n", [(filiform, 500), (odd_family, 241)])
+def test_generator_ideals_close_without_field_arithmetic(build, n,
+                                                         monkeypatch):
+    # On a multiplicative basis the ideal of a basis vector is spanned by
+    # basis vectors, so its closure admits unit rows only and never needs
+    # echelon
+    alg, _split = build(n)
+    calls = []
+    real_echelon = algebra_module.echelon
+
+    def counting_echelon(*args, **kwargs):
+        calls.append(None)
+        return real_echelon(*args, **kwargs)
+
+    monkeypatch.setattr(algebra_module, "echelon", counting_echelon)
+    for v in range(alg.dim):
+        ideal = generated_ideal(alg, alg.unit(v))
+        assert v in ideal.basis_members()
+        assert len(ideal.basis_members()) == ideal.rank
+    assert calls == []
+
+
+def test_coordinate_ideal_tests_run_no_elimination(monkeypatch):
+    # is_ideal on basis subsets and membership of basis vectors are set
+    # lookups; neither brackets nor eliminates a row
+    alg, split = odd_family(15)
+    table = to_multiplicative(alg, split, validate=False)
+    calls = Counter()
+    for module, name in ((scalars_module, "_eliminate"),
+                         (structure, "basis_brackets")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    verdict = check_minimality(alg, table, split, oracle=True)
+    assert verdict.minimal and verdict.oracle_minimal
+    assert cross_validate(alg, split, oracle=True)["oracle_ran"]
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("vertex, pair", (
