@@ -21,7 +21,9 @@ with dim^3.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -37,6 +39,8 @@ from .scalars import (
     FieldSpec,
     Subspace,
     add_scaled,
+    add_scaled_pairs,
+    as_pairs,
     echelon,
     prune,
     to_dense,
@@ -232,10 +236,25 @@ def check_leibniz(algebra: LeibnizAlgebra, *, stop_early: bool = False):
     still in (j, k, i) order, and every other residual is identically
     zero.  With P such paths the check costs O(P log P); P is about
     three times the number of nonzero products on the corpus families.
+
+    Over Q each coefficient is read once as an integer pair (numerator,
+    denominator) and a residual is summed unreduced on such pairs
+    (``add_scaled_pairs``); a Fraction is built only for a coordinate of
+    a residual that is reported.  Over GF(p) the sums are plain ints,
+    reduced by ``prune``.
     """
     n = algebra.dim
     field = algebra.field
-    left = algebra._left
+    if field.is_rationals:
+        # every coefficient read once as an integer pair
+        left = [{i: as_pairs(coords) for i, coords in row.items()}
+                for row in algebra._left]
+        add, neg, settle = add_scaled_pairs, _neg_pair, _fractions
+    else:
+        left, add, neg = algebra._left, add_scaled, operator.neg
+
+        def settle(acc):
+            return prune(field, acc)
     # into[m]: every (k, i), coded k * n + i, with m in supp [v_k, v_i]
     into = [[] for _ in range(n)]
     for (k, i), coords in algebra.products.items():
@@ -261,20 +280,20 @@ def check_leibniz(algebra: LeibnizAlgebra, *, stop_early: bool = False):
                 for m, c in jk.items():
                     coords = left[m].get(i)
                     if coords is not None:
-                        add_scaled(acc, c, coords)
+                        add(acc, c, coords)
             ji = row_j.get(i)
             if ji is not None:            # - [[v_j, v_i], v_k]
                 for m, c in ji.items():
                     coords = left[m].get(k)
                     if coords is not None:
-                        add_scaled(acc, -c, coords)
+                        add(acc, neg(c), coords)
             ki = left[k].get(i)
             if ki is not None:            # - [v_j, [v_k, v_i]]
                 for m, c in ki.items():
                     coords = row_j.get(m)
                     if coords is not None:
-                        add_scaled(acc, -c, coords)
-            residual = prune(field, acc)
+                        add(acc, neg(c), coords)
+            residual = settle(acc)
             if residual:
                 violations.append((i, j, k, to_dense(field, n, residual)))
                 if stop_early:
@@ -282,6 +301,16 @@ def check_leibniz(algebra: LeibnizAlgebra, *, stop_early: bool = False):
     if not violations:
         algebra.identity_verified = True
     return violations
+
+
+def _neg_pair(c: tuple) -> tuple:
+    return -c[0], c[1]
+
+
+def _fractions(acc: dict) -> dict:
+    """The nonzero values of a sparse vector of integer pairs, as
+    canonical Fractions."""
+    return {k: Fraction(num, den) for k, (num, den) in acc.items() if num}
 
 
 def _ensure_leibniz(algebra: LeibnizAlgebra):
@@ -354,6 +383,12 @@ def ideal_closure(algebra: LeibnizAlgebra, seed_vectors: Iterable) -> Subspace:
             )
         seeds.append(to_sparse(v))
     return _close(algebra, seeds)
+
+
+def unit_ideal(algebra: LeibnizAlgebra, m: int) -> Subspace:
+    """The ideal generated by the basis vector v_m, closed from the
+    sparse seed {m: one}; no dense coordinate tuple is built."""
+    return _close(algebra, [{m: algebra.field.one}])
 
 
 def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:

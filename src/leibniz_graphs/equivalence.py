@@ -8,6 +8,7 @@ searches for isomorphisms; these are certificate checkers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
@@ -24,6 +25,8 @@ from .graphs import DiGraph
 from .scalars import (
     FieldSpec,
     add_scaled,
+    add_scaled_pairs,
+    as_pairs,
     echelon,
     prune,
     to_dense,
@@ -117,6 +120,12 @@ class LinearMap:
         return to_dense(self.field, self.dim, self._apply_sparse(to_sparse(x)))
 
     def is_invertible(self) -> bool:
+        """A monomial matrix (one nonzero entry per row, in distinct
+        columns) is invertible as it stands; any other matrix is reduced
+        to echelon form."""
+        if (all(len(row) == 1 for row in self._rows)
+                and len({j for row in self._rows for j in row}) == self.dim):
+            return True
         return len(echelon(self.field, self._rows)) == self.dim
 
     def inverse(self) -> "LinearMap":
@@ -132,18 +141,37 @@ class LinearMap:
             for a in range(n)))
 
 
-def _image_products(algebra: LeibnizAlgebra, f: LinearMap) -> dict:
+def _image_products(products: dict, rows: Sequence, add, mul) -> dict:
     """{(i, j): [f(v_i), f(v_j)]} over the nonzero brackets, unnormalised.
 
     [f(v_i), f(v_j)] = sum over products [v_a, v_b] of f_ai f_bj [v_a, v_b],
-    so only nonzero products and nonzero matrix entries are visited."""
+    so only nonzero products and nonzero matrix entries are visited.
+    ``rows`` holds the nonzero entries of f by row, and ``add`` and ``mul``
+    are the arithmetic of the values in ``products`` and ``rows``."""
     out: dict = {}
-    rows = f._rows
-    for (a, b), coords in algebra.products.items():
+    for (a, b), coords in products.items():
         for i, fa in rows[a].items():
             for j, fb in rows[b].items():
-                add_scaled(out.setdefault((i, j), {}), fa * fb, coords)
+                add(out.setdefault((i, j), {}), mul(fa, fb), coords)
     return out
+
+
+def _mul_pairs(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[0], x[1] * y[1]
+
+
+def _equal_pairs(x: dict, y: dict, p) -> bool:
+    """Whether two sparse vectors of integer pairs hold the same values
+    of Q (p None) or GF(p), compared by cross-multiplying."""
+    for k in x.keys() | y.keys():
+        xn, xd = x.get(k, (0, 1))
+        yn, yd = y.get(k, (0, 1))
+        diff = xn * yd - yn * xd
+        if p is not None:
+            diff %= p
+        if diff:
+            return False
+    return True
 
 
 def is_automorphism(algebra: LeibnizAlgebra, f: LinearMap):
@@ -152,6 +180,9 @@ def is_automorphism(algebra: LeibnizAlgebra, f: LinearMap):
     Returns (True, None) or (False, (i, j)) for the first failing pair in
     row-major order.  Raises SingularMapError when f is not invertible;
     bijectivity is part of being an automorphism, not a failure witness.
+
+    Both sides are summed on integer pairs (numerator, denominator)
+    (``add_scaled_pairs``), so no field value is built per term.
     """
     if f.dim != algebra.dim:
         raise DimensionMismatchError("map dimension != algebra dimension")
@@ -159,13 +190,18 @@ def is_automorphism(algebra: LeibnizAlgebra, f: LinearMap):
         raise FieldMismatchError("map field != algebra field")
     if not f.is_invertible():
         raise SingularMapError("candidate automorphism is singular")
-    field = algebra.field
-    images = _image_products(algebra, f)
-    failing = [
-        pair for pair in images.keys() | algebra.products.keys()
-        if prune(field, images.get(pair, {}))
-        != f._apply_sparse(algebra.products.get(pair, {}))
-    ]
+    products = {pair: as_pairs(coords)
+                for pair, coords in algebra.products.items()}
+    cols = [as_pairs(col) for col in f._cols]
+    images = _image_products(products, [as_pairs(row) for row in f._rows],
+                             add_scaled_pairs, _mul_pairs)
+    failing = []
+    for pair in images.keys() | products.keys():
+        mapped: dict = {}      # f([v_i, v_j])
+        for k, c in products.get(pair, {}).items():
+            add_scaled_pairs(mapped, c, cols[k])
+        if not _equal_pairs(images.get(pair, {}), mapped, algebra.field.p):
+            failing.append(pair)
     if failing:
         return False, min(failing)
     return True, None
@@ -209,7 +245,8 @@ def change_basis(algebra: LeibnizAlgebra, f: LinearMap,
     f_inv = f.inverse()  # SingularMapError if not invertible
     products = {
         pair: f_inv._apply_sparse(bracket)
-        for pair, bracket in _image_products(algebra, f).items()
+        for pair, bracket in _image_products(algebra.products, f._rows,
+                                             add_scaled, operator.mul).items()
     }
     labels = tuple(new_labels) if new_labels is not None else algebra.labels
     try:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError
@@ -167,6 +168,37 @@ def add_scaled(acc: dict, coeff, v: dict) -> None:
     """acc += coeff * v on sparse vectors, leaving values unnormalised."""
     for k, x in v.items():
         acc[k] = acc.get(k, 0) + coeff * x
+
+
+def as_pairs(v: dict) -> dict:
+    """A sparse vector of canonical values as {index: (numerator,
+    denominator)}; a residue of GF(p) reads as (value, 1)."""
+    return {k: (x.numerator, x.denominator) for k, x in v.items()}
+
+
+def add_scaled_pairs(acc: dict, coeff: tuple, v: dict) -> None:
+    """acc += coeff * v on sparse vectors of integer pairs (n, d) that
+    stand for n / d with d > 0.
+
+    A term multiplies the pairs componentwise.  A sum adds numerators
+    when the denominators agree and otherwise brings both values to the
+    lcm of the denominators, so a coordinate's denominator stays a
+    divisor of the lcm of its terms' denominators however many terms
+    it sums.  Values are not reduced and no Fraction is built; a value
+    is zero iff its numerator is."""
+    cn, cd = coeff
+    for k, (xn, xd) in v.items():
+        num, den = cn * xn, cd * xd
+        old = acc.get(k)
+        if old is not None:
+            an, ad = old
+            if ad == den:
+                num += an
+            else:
+                g = gcd(ad, den)
+                num = an * (den // g) + num * (ad // g)
+                den = ad // g * den
+        acc[k] = (num, den)
 
 
 def prune(field: FieldSpec, v: dict) -> dict:
@@ -347,7 +379,6 @@ class Subspace:
         return all(self.contains_sparse(row) for row in other.sparse_rows())
 
     def basis_members(self) -> tuple:
-        """Indices i whose unit vector lies in the subspace."""
-        one = self.field.one
-        return tuple(i for i in range(self.ambient_dim)
-                     if self.contains_sparse({i: one}))
+        """Indices i whose unit vector lies in the subspace, ascending:
+        the pivots whose rows have no other entry (see contains_sparse)."""
+        return tuple(i for i, row in self._basis.items() if len(row) == 1)

@@ -28,6 +28,7 @@ from .algebra import (
     ideal_closure,
     to_multiplicative,
     unit_brackets,
+    unit_ideal,
 )
 from .errors import (
     DimensionMismatchError,
@@ -207,13 +208,13 @@ def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     in table order.
 
     ``ideal_of(k)`` returns the ideal of v_k; by default it is closed by
-    generated_ideal.  The checks are grouped by k, so ``ideal_of`` is
+    unit_ideal.  The checks are grouped by k, so ``ideal_of`` is
     asked once per output generator that has checks, and its result is
     dropped once those checks are done.
     """
     if ideal_of is None:
         def ideal_of(k):
-            return generated_ideal(algebra, algebra.unit(k))
+            return unit_ideal(algebra, k)
     kernel = set(split.kernel)
     wanted: dict = {}  # k -> [(entry position, (i, j), member)]
     for pos, ((i, j), (k, _c)) in enumerate(table.entries):
@@ -354,21 +355,25 @@ def _analyse(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     strong_j = is_strongly_connected(sub_j)
     pairs = 0
     if reachability:
-        part_of = dict.fromkeys(sub_k.vertices, sub_k)
-        part_of.update(dict.fromkeys(sub_j.vertices, sub_j))
-        one = algebra.field.one
+        part_of = {}   # v -> (its part subgraph, that part's vertex set)
+        for part in (sub_k, sub_j):
+            part_of.update(dict.fromkeys(part.vertices,
+                                         (part, set(part.vertices))))
 
         def ideal_of(v: int) -> Subspace:
             nonlocal pairs
-            part = part_of.pop(v)
-            ideal = generated_ideal(algebra, algebra.unit(v))
+            part, vertices = part_of.pop(v)
+            ideal = unit_ideal(algebra, v)
             members = set(reachable_from(part, v))
-            for w in part.vertices:
-                if (w in members) != ideal.contains_sparse({w: one}):
-                    raise InternalInvariantViolation(
-                        f"reachability and ideal closure disagree on "
-                        f"({algebra.labels[v]}, {algebra.labels[w]})"
-                    )
+            # the part's vertices whose unit vectors lie in the ideal
+            inside = vertices.intersection(ideal.basis_members())
+            if inside != members:
+                w = next(w for w in part.vertices
+                         if (w in members) != (w in inside))
+                raise InternalInvariantViolation(
+                    f"reachability and ideal closure disagree on "
+                    f"({algebra.labels[v]}, {algebra.labels[w]})"
+                )
             pairs += len(part.vertices)
             return ideal
 

@@ -254,6 +254,14 @@ def _basis_bracket_vec(field, tensor, i, w):
     return tuple(acc)
 
 
+def residual(field, tensor, i: int, j: int, k: int) -> tuple:
+    """[[v_j, v_k], v_i] - [[v_j, v_i], v_k] - [v_j, [v_k, v_i]]."""
+    lhs = _vec_bracket_basis(field, tensor, tensor[j][k], i)
+    t1 = _vec_bracket_basis(field, tensor, tensor[j][i], k)
+    t2 = _basis_bracket_vec(field, tensor, j, tensor[k][i])
+    return tuple(a - b - c for a, b, c in zip(lhs, t1, t2))
+
+
 def check_leibniz(field, tensor) -> list:
     """Every basis triple (i, j, k, residual) violating the identity, in
     (j, k, i) order, over all n^3 triples."""
@@ -262,12 +270,9 @@ def check_leibniz(field, tensor) -> list:
     for j in range(n):
         for k in range(n):
             for i in range(n):
-                lhs = _vec_bracket_basis(field, tensor, tensor[j][k], i)
-                t1 = _vec_bracket_basis(field, tensor, tensor[j][i], k)
-                t2 = _basis_bracket_vec(field, tensor, j, tensor[k][i])
-                residual = tuple(a - b - c for a, b, c in zip(lhs, t1, t2))
-                if any(residual):
-                    violations.append((i, j, k, residual))
+                r = residual(field, tensor, i, j, k)
+                if any(r):
+                    violations.append((i, j, k, r))
     return violations
 
 

@@ -190,19 +190,28 @@ def test_identity_check_matches_plain_cubic_loop(build):
 
 @pytest.mark.parametrize("build, n", [(filiform, 2000), (odd_family, 1201)])
 def test_identity_check_visits_linearly_many_triples(build, n, monkeypatch):
-    # check_leibniz prunes one residual per visited triple; trying every
-    # i for each nonzero [v_j, v_k] would make about E * n calls
-    alg, _split = build(n)
-    calls = []
-    real_prune = algebra_module.prune
+    # check_leibniz settles one residual per visited triple, by prune over
+    # GF(p) and by _fractions over Q; trying every i for each nonzero
+    # [v_j, v_k] would make about E * n calls
+    visited = []
+    for name in ("prune", "_fractions"):
+        real = getattr(algebra_module, name)
 
-    def counting_prune(field, v):
-        calls.append(None)
-        return real_prune(field, v)
+        def counting(*args, _real=real):
+            visited.append(None)
+            return _real(*args)
 
-    monkeypatch.setattr(algebra_module, "prune", counting_prune)
-    assert check_leibniz(alg) == []
-    assert len(calls) <= 4 * len(alg.products)
+        monkeypatch.setattr(algebra_module, name, counting)
+    counts = []
+    for field in (Q, FieldSpec.prime(998244353)):
+        alg, _split = build(n, field)
+        visited.clear()
+        assert check_leibniz(alg) == []
+        assert 0 < len(visited) <= 4 * len(alg.products)
+        counts.append(len(visited))
+    # both tables have the same nonzero products, so the two arithmetic
+    # paths visit the same triples
+    assert counts[0] == counts[1]
 
 
 def test_constructor_validates_shape():

@@ -33,13 +33,17 @@ from leibniz_graphs.algebra import (
     product,
 )
 from leibniz_graphs.corpus import (
+    direct_sum,
     filiform,
     five_dim,
     fuzz_instances,
     odd_family,
+    rescale_basis,
     standard_entries,
     ud_component,
 )
+from leibniz_graphs.equivalence import LinearMap, change_basis, is_automorphism
+from leibniz_graphs.errors import SingularMapError
 from leibniz_graphs.scalars import FieldSpec, Subspace
 from leibniz_graphs.structure import enumerate_basis_ideals, is_ideal
 
@@ -248,6 +252,114 @@ def test_random_tables_match_dense_reference():
     assert mixed > 0
 
 
+# -- distinct-prime denominators at scale -----------------------------------
+
+def _primes(count: int) -> list:
+    out, candidate = [], 2
+    while len(out) < count:
+        if all(candidate % q for q in out if q * q <= candidate):
+            out.append(candidate)
+        candidate += 1
+    return out
+
+
+class _TensorRow(dict):
+    """Row i of ``ref.dense_tensor(algebra)``, each [v_i, v_j] built on
+    first read: the whole tensor of a table with hundreds of basis
+    vectors does not fit in memory."""
+
+    def __init__(self, algebra, i):
+        super().__init__()
+        self.algebra, self.i = algebra, i
+
+    def __missing__(self, j):
+        field, n = self.algebra.field, self.algebra.dim
+        coords = self.algebra.products.get((self.i, j), {})
+        zero = ref.zero_vector(field, n)
+        cell = self[j] = zero if not coords else tuple(
+            ref.Scalar(field, coords[k]) if k in coords else zero[k]
+            for k in range(n))
+        return cell
+
+
+def _triples_reading(products, n: int, a: int, b: int) -> list:
+    """Every (j, k, i), in that order, whose residual reads [v_a, v_b] and
+    has a term bracketing two nonzero products.
+
+    [[v_j, v_k], v_i] is the sum over m in supp [v_j, v_k] of [v_m, v_i];
+    [[v_j, v_i], v_k] the same with i and k swapped; [v_j, [v_k, v_i]] the
+    sum over m in supp [v_k, v_i] of [v_j, v_m]."""
+    def has_term(j, k, i):
+        return (any((m, i) in products for m in products.get((j, k), ()))
+                or any((m, k) in products for m in products.get((j, i), ()))
+                or any((j, m) in products for m in products.get((k, i), ())))
+
+    out = set()
+    for x in range(n):
+        out.update(((a, b, x), (a, x, b), (x, a, b)))
+    for (p, q), coords in products.items():
+        if a in coords:
+            out.update(((p, q, b), (p, b, q)))
+        if b in coords:
+            out.add((a, p, q))
+    return sorted(t for t in out if has_term(*t))
+
+
+def _mutate(alg, rng, primes):
+    """A copy of alg with one coefficient of one product [v_a, v_b]
+    changed, by a value with a prime denominator, to zero, or from zero;
+    returns (mutant, (a, b))."""
+    products = {pair: dict(coords) for pair, coords in alg.products.items()}
+    kind = rng.choice(("shift", "drop", "add", "add"))
+    if kind == "add":
+        pair = rng.randrange(alg.dim), rng.randrange(alg.dim)
+        coords = products.setdefault(pair, {})
+        k = rng.randrange(alg.dim)
+    else:
+        pair = rng.choice(sorted(products))
+        coords = products[pair]
+        k = rng.choice(sorted(coords))
+    if kind == "drop":
+        del coords[k]
+    else:
+        shift = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice(primes))
+        coords[k] = coords.get(k, 0) + shift
+    return LeibnizAlgebra(alg.field, alg.labels, products, check=False), pair
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: odd_family(241), id="odd_family(241)"),
+    pytest.param(lambda: filiform(500), id="filiform(500)"),
+])
+def test_distinct_prime_denominators_match_dense_reference(build):
+    # v_i -> v_i / p_i gives [v_i, v_j] coefficients c p_k / (p_i p_j), so
+    # no two basis vectors share a denominator; a residual sums terms
+    # whose denominators are products of distinct primes
+    alg, split = build()
+    n = alg.dim
+    primes = _primes(n)
+    scaled, _split = rescale_basis(alg, split,
+                                   [Fraction(1, p) for p in primes])
+    assert check_leibniz(scaled) == []
+    rng = random.Random(n)
+    broken = 0
+    for _ in range(8):
+        mutant, (a, b) = _mutate(scaled, rng, primes)
+        tensor = [_TensorRow(mutant, i) for i in range(n)]
+        # the unmutated table satisfies the identity, so a triple that does
+        # not read [v_a, v_b] has a zero residual, and so has one whose
+        # every term brackets a zero product
+        want = []
+        for j, k, i in _triples_reading(mutant.products, n, a, b):
+            r = ref.residual(Q, tensor, i, j, k)
+            if any(r):
+                want.append((i, j, k, ref.values(r)))
+        assert check_leibniz(mutant, stop_early=True) == want[:1]
+        assert check_leibniz(mutant) == want
+        broken += bool(want)
+    assert broken
+
+
 # -- basis-ideal listing against the 2^n brute force -----------------------
 
 def _assert_listing_complete(alg):
@@ -279,3 +391,126 @@ def test_every_subset_is_a_basis_ideal_without_products():
                   for mask in range(1 << LISTING_DIM)]
     assert enumerate_basis_ideals(alg, bound=LISTING_DIM) == everything
     _assert_listing_complete(alg)
+
+
+# -- is_automorphism against the dense bracket -----------------------------
+
+def _reference_automorphism(alg, columns):
+    """(ok, witness) for the map v_j -> columns[j], from the dense
+    reference: f([v_i, v_j]) against [f v_i, f v_j] on every basis pair
+    in row-major order.  None when the columns are dependent."""
+    field, n = alg.field, alg.dim
+    images = [ref.scalars(field, col) for col in columns]
+    if len(ref.rref(field, images, n)[1]) < n:
+        return None
+    tensor = ref.dense_tensor(alg)
+
+    def apply(x):
+        acc = ref.zero_vector(field, n)
+        for xj, image in zip(x, images):
+            if xj:
+                acc = tuple(a + xj * b for a, b in zip(acc, image))
+        return acc
+
+    for i in range(n):
+        for j in range(n):
+            if apply(tensor[i][j]) != ref.product(field, tensor, images[i],
+                                                  images[j]):
+                return False, (i, j)
+    return True, None
+
+
+def _random_entry(field, rng):
+    if field.is_rationals:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return rng.randrange(field.p)
+
+
+def _nonzero_entry(field, rng):
+    x = 0
+    while not x:
+        x = field.scalar(_random_entry(field, rng))
+    return x
+
+
+def _columns(f: LinearMap) -> list:
+    return [f.column(j) for j in range(f.dim)]
+
+
+def _compose(f: LinearMap, g: LinearMap) -> LinearMap:
+    """The map f after g."""
+    return LinearMap.from_columns(
+        f.field, [f.apply(col) for col in _columns(g)])
+
+
+def _candidate_maps(alg, swap, rng):
+    """(algebra, columns) pairs: identity maps, rescaled permutations,
+    random maps, the automorphism ``swap`` conjugated into a random basis,
+    one-entry mutants of the true automorphisms, and singular maps, the
+    monomial ones included."""
+    field, n = alg.field, alg.dim
+    identity = LinearMap.identity(field, n)
+    true_maps = [(alg, identity), (alg, swap)]
+    out = list(true_maps)
+    for _ in range(4):
+        images = list(range(n))
+        rng.shuffle(images)
+        out.append((alg, LinearMap.from_columns(field, [
+            tuple(_nonzero_entry(field, rng) if k == images[j] else field.zero
+                  for k in range(n))
+            for j in range(n)])))
+    for _ in range(2):
+        g = LinearMap.from_columns(field, [
+            tuple(field.scalar(_random_entry(field, rng)) for _ in range(n))
+            for _ in range(n)])
+        if not g.is_invertible():
+            continue
+        out.append((alg, g))
+        # swap is an automorphism of alg, so g^-1 swap g is one of alg
+        # rewritten in the basis g(v_j)
+        other = change_basis(alg, g)
+        conjugated = _compose(g.inverse(), _compose(swap, g))
+        true_maps.append((other, conjugated))
+        out.append((other, conjugated))
+    for algebra, f in true_maps:
+        for _ in range(3):
+            rows = [list(row) for row in f.matrix]
+            a, b = rng.randrange(n), rng.randrange(n)
+            rows[a][b] = field.add(rows[a][b], _nonzero_entry(field, rng))
+            out.append((algebra, LinearMap(field, rows)))
+    # one entry per row, but two rows share a column
+    images = [rng.randrange(n - 1) for _ in range(n)]
+    out.append((alg, LinearMap(field, [
+        tuple(field.one if k == images[a] else field.zero for k in range(n))
+        for a in range(n)])))
+    out.append((alg, LinearMap(field, [[field.zero] * n] * n)))
+    return [(algebra, _columns(f)) for algebra, f in out]
+
+
+@pytest.mark.parametrize("field", [Q, F5, BIG], ids=str)
+@pytest.mark.parametrize("build", [
+    pytest.param(five_dim, id="five_dim"),
+    pytest.param(ud_component, id="ud_component"),
+    pytest.param(lambda field: filiform(4, field), id="filiform(4)"),
+])
+def test_automorphism_check_matches_dense_bracket(build, field):
+    # two copies of one algebra, and the automorphism swapping them
+    alg, _split = direct_sum(*build(field), *build(field))
+    n, half = alg.dim, alg.dim // 2
+    swap = LinearMap.permutation(field, [(j + half) % n for j in range(n)])
+    rng = random.Random(f"{half}/{field}")
+    verdicts = []
+    for algebra, columns in _candidate_maps(alg, swap, rng):
+        f = LinearMap.from_columns(field, columns)
+        want = _reference_automorphism(algebra, columns)
+        assert f.is_invertible() == (want is not None)
+        if want is None:
+            with pytest.raises(SingularMapError):
+                is_automorphism(algebra, f)
+        else:
+            assert is_automorphism(algebra, f) == want
+        verdicts.append(want and want[0])
+    # true automorphisms past the monomial ones, refuted maps and
+    # singular maps all occur
+    assert verdicts.count(True) > 2
+    assert False in verdicts and None in verdicts

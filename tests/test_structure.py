@@ -481,19 +481,18 @@ def test_cross_validate_closes_each_generator_once_per_call(monkeypatch):
     # basis-vector ideals within a cross_validate call, not across calls
     alg, split = build_example("five_doubled")
     closed = Counter()
-    real = structure.generated_ideal
+    real = structure.unit_ideal
 
-    def counting(algebra, vector):
-        closed[tuple(vector)] += 1
-        return real(algebra, vector)
+    def counting(algebra, m):
+        closed[m] += 1
+        return real(algebra, m)
 
-    monkeypatch.setattr(structure, "generated_ideal", counting)
-    every_unit = {alg.unit(v) for v in range(alg.dim)}
+    monkeypatch.setattr(structure, "unit_ideal", counting)
     for _call in range(2):
         closed.clear()
         stats = cross_validate(alg, split)
         assert stats["reachability_pairs"] > 0
-        assert set(closed) == every_unit
+        assert set(closed) == set(range(alg.dim))
         assert set(closed.values()) == {1}
 
     # outside cross_validate, check_weak_division closes each generator
