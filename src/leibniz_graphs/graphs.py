@@ -79,10 +79,21 @@ class DiGraph:
         for a, b in self.edges:
             if a not in vset or b not in vset:
                 raise UnknownVertexError(f"edge ({a},{b}) leaves the graph")
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        object.__setattr__(self, "_label", dict(zip(vs, self.labels)))
+        self._fill(vs, tuple(self.labels), frozenset(self.edges))
+
+    @classmethod
+    def _trusted(cls, vertices: tuple, labels: tuple, edges: frozenset
+                 ) -> "DiGraph":
+        """A graph from parts already known to be valid: strictly
+        increasing vertices, one label each, edges between them.  The
+        constructor's checks are skipped."""
+        graph = object.__new__(cls)
+        graph._fill(vertices, labels, edges)
+        return graph
+
+    def _fill(self, vertices: tuple, labels: tuple, edges: frozenset):
+        self.__dict__.update(vertices=vertices, labels=labels, edges=edges,
+                             _label=dict(zip(vertices, labels)))
 
     @property
     def n(self) -> int:
@@ -125,12 +136,18 @@ def build_graph(table: MultiplicativeTable, split: BasisSplit) -> DiGraph:
     """The digraph of a multiplicative basis: factors point at products."""
     if split.dim != table.dim:
         raise ValueError("split and table disagree on dimension")
+    # range(dim) is sorted and has one label each by construction; the
+    # table's entries are not checked by the table itself
+    n = table.dim
     edges = set()
     for (i, j), (k, _coeff) in table.entries:
+        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+            raise UnknownVertexError(
+                f"product [{i},{j}] = {k} leaves the graph")
         edges.add((i, k))
         edges.add((j, k))
-    vertices = tuple(range(table.dim))
-    return DiGraph(vertices, table.labels, frozenset(edges))
+    return DiGraph._trusted(tuple(range(n)), tuple(table.labels),
+                            frozenset(edges))
 
 
 def induced_subgraph(graph: DiGraph, part: Part, split: BasisSplit) -> DiGraph:
@@ -146,7 +163,7 @@ def induced_subgraph(graph: DiGraph, part: Part, split: BasisSplit) -> DiGraph:
                    if v in keep)
     edges = frozenset((a, b) for a, b in graph.edges
                       if a in keep and b in keep)
-    return DiGraph(vertices, labels, edges)
+    return DiGraph._trusted(vertices, labels, edges)
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,19 @@ def scalar_from_json(field: FieldSpec, value, path: str = "$"):
     return field.scalar(value)
 
 
+def _document_scalar(field: FieldSpec, value, path: str):
+    """A scalar inside a document.  A rational written as a string must be
+    the text that scalar_to_json emits for it: reduced, no denominator 1,
+    no sign on zero, no leading zeros and no surrounding whitespace."""
+    scalar = scalar_from_json(field, value, path)
+    if type(value) is str and value != scalar_to_json(scalar):
+        raise InputDocumentError(
+            f"{value!r} is not in canonical form; "
+            f"write {scalar_to_json(scalar)!r}", path
+        )
+    return scalar
+
+
 def algebra_to_json(algebra: LeibnizAlgebra, split: BasisSplit,
                     table: MultiplicativeTable | None = None) -> dict:
     """Canonical algebra document: products sorted by index pair, kernel
@@ -256,7 +269,7 @@ def algebra_from_json(doc):
                 raise InputDocumentError(
                     f"unknown label {entry[key]!r}", f"{path}.{key}"
                 )
-        coeff = scalar_from_json(field, entry["c"], f"{path}.c")
+        coeff = _document_scalar(field, entry["c"], f"{path}.c")
         if not coeff:
             raise InputDocumentError(
                 "zero coefficient; omit zero products instead", f"{path}.c"
@@ -322,7 +335,7 @@ def map_from_json(doc, field: FieldSpec, dim: int):
                 f"$.matrix[{j}]"
             )
         columns.append(tuple(
-            scalar_from_json(field, v, f"$.matrix[{j}][{i}]")
+            _document_scalar(field, v, f"$.matrix[{j}][{i}]")
             for i, v in enumerate(col)
         ))
     return columns

@@ -28,7 +28,6 @@ from .algebra import (
     ideal_closure,
     to_multiplicative,
     unit_brackets,
-    unit_ideal,
 )
 from .errors import (
     DimensionMismatchError,
@@ -85,19 +84,26 @@ def is_ideal(algebra: LeibnizAlgebra, subspace: Subspace) -> bool:
     When every row is a unit row, the subspace is the span of its pivot
     set, and it is an ideal iff every product with a factor in that set
     has its support inside the set: a set test per stored product, with
-    no field arithmetic.  Other subspaces reduce each bracket against
-    their rows."""
+    no field arithmetic (``_spans_ideal``).  Other subspaces reduce each
+    bracket against their rows."""
     if subspace.ambient_dim != algebra.dim:
         raise DimensionMismatchError("subspace ambient dim != algebra dim")
     rows = subspace.sparse_rows()
     if all(len(s) == 1 for s in rows):
-        members = set(subspace.pivots)
-        return all(coords.keys() <= members
-                   for m in members
-                   for coords in unit_brackets(algebra, m))
+        return _spans_ideal(algebra, set(subspace.pivots))
     return all(subspace.contains_sparse(v)
                for s in rows
                for v in basis_brackets(algebra, s))
+
+
+def _spans_ideal(algebra: LeibnizAlgebra, members: set) -> bool:
+    """Whether the span of the basis vectors in ``members`` is an ideal:
+    every product with a factor among them has its support among them."""
+    left, right = algebra._left, algebra._right   # as unit_brackets reads
+    return all(coords.keys() <= members
+               for m in members
+               for row in (left[m], right[m])
+               for coords in row.values())
 
 
 def generated_ideal(algebra: LeibnizAlgebra, vector) -> Subspace:
@@ -196,8 +202,72 @@ def restrict_to_indices(algebra: LeibnizAlgebra, split: BasisSplit,
     return sub, sub_split
 
 
+class _GeneratorIdeals:
+    """The ideal of each basis vector v_v, held as the int bitmask of the
+    basis vectors it contains, closed on first request and kept.
+
+    On a multiplicative basis each bracket of a basis vector with a basis
+    vector is a multiple of one basis vector, so the ideal of v_v is the
+    span of the basis vectors reached from v by repeatedly passing from a
+    factor to the output coordinate of its products (the rows that
+    ``unit_brackets`` reads).  If w lies in I(v), then I(w) lies in I(v):
+    a closure that lands on a w whose mask is stored ORs that mask in and
+    does not walk past w.  Generators are closed in the post-order of a
+    depth-first search over the same bracket outputs, so each output is
+    closed before the generator that reaches it, except on a cycle through
+    that generator, which is simply expanded.  A mask is stored only once
+    its closure is complete.
+
+    The basis must be multiplicative, as a MultiplicativeTable of the
+    algebra proves; both callers hold one.
+    """
+
+    def __init__(self, algebra: LeibnizAlgebra):
+        self.algebra = algebra
+        self.masks: dict = {}
+
+    def mask(self, v: int) -> int:
+        if v not in self.masks:
+            self._close_in_post_order(v)
+        return self.masks[v]
+
+    def _outputs(self, m: int):
+        return (w for coords in unit_brackets(self.algebra, m)
+                for w in coords)
+
+    def _close_in_post_order(self, root: int) -> None:
+        masks = self.masks
+        entered = {root}
+        path = [(root, self._outputs(root))]
+        while path:
+            v, outputs = path[-1]
+            for w in outputs:
+                if w not in entered and w not in masks:
+                    entered.add(w)
+                    path.append((w, self._outputs(w)))
+                    break
+            else:
+                path.pop()
+                masks[v] = self._close(v)
+
+    def _close(self, v: int) -> int:
+        masks = self.masks
+        mask = 1 << v
+        todo = [v]
+        while todo:
+            for w in self._outputs(todo.pop()):
+                if not mask >> w & 1:
+                    known = masks.get(w)
+                    if known is None:
+                        mask |= 1 << w
+                        todo.append(w)
+                    else:
+                        mask |= known
+        return mask
+
+
 def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
-                        split: BasisSplit, *, ideal_of=None):
+                        split: BasisSplit):
     """Decide weak division by the ideal-closure oracle.
 
     For every table entry [v_i, v_j] = c * v_k:
@@ -207,32 +277,25 @@ def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     Returns (holds, violations); each violation is ((i, j), k, missing),
     in table order.
 
-    ``ideal_of(k)`` returns the ideal of v_k; by default it is closed by
-    unit_ideal.  The checks are grouped by k, so ``ideal_of`` is
-    asked once per output generator that has checks, and its result is
-    dropped once those checks are done.
+    The ideal of each v_k is closed once, as a bitmask of basis vectors
+    (``_GeneratorIdeals``), and each membership is one bit test.
     """
-    if ideal_of is None:
-        def ideal_of(k):
-            return unit_ideal(algebra, k)
+    return _weak_division(table, split, _GeneratorIdeals(algebra))
+
+
+def _weak_division(table: MultiplicativeTable, split: BasisSplit,
+                   generators: _GeneratorIdeals):
     kernel = set(split.kernel)
-    wanted: dict = {}  # k -> [(entry position, (i, j), member)]
-    for pos, ((i, j), (k, _c)) in enumerate(table.entries):
+    violations = []
+    for (i, j), (k, _c) in table.entries:
         if i in kernel and k in kernel:
             members = (i,)
         elif i not in kernel and j not in kernel and k not in kernel:
             members = (i, j)
         else:
             continue
-        wanted.setdefault(k, []).extend((pos, (i, j), m) for m in members)
-    one = algebra.field.one
-    found = []
-    for k, checks in wanted.items():
-        ideal = ideal_of(k)
-        for pos, pair, member in checks:
-            if not ideal.contains_sparse({member: one}):
-                found.append((pos, (pair, k, member)))
-    violations = [v for _pos, v in sorted(found, key=lambda f: f[0])]
+        mask = generators.mask(k)
+        violations += [((i, j), k, m) for m in members if not mask >> m & 1]
     return (not violations), violations
 
 
@@ -249,8 +312,9 @@ def enumerate_basis_ideals(algebra: LeibnizAlgebra,
     are the unions of the per-vertex closures, so they are listed
     directly and the cost grows with the number of basis ideals rather
     than with 2^n.  The successors are read from ``algebra.products``
-    alone, sharing no code with the graph route, and every listed set is
-    confirmed by is_ideal; a set that fails raises
+    alone, as bitmasks, sharing no code with the graph route, and every
+    listed set is confirmed by the coordinate ideal test of is_ideal
+    (``_spans_ideal``); a set that fails raises
     InternalInvariantViolation.
     """
     if bound is None:
@@ -260,30 +324,38 @@ def enumerate_basis_ideals(algebra: LeibnizAlgebra,
         raise DimensionTooLargeError(
             f"dimension {n} exceeds enumeration bound {bound}"
         )
-    successors = [set() for _ in range(n)]
+    successors = [0] * n   # v -> mask of the outputs of v's products
     for (i, j), coords in algebra.products.items():
-        successors[i].update(coords)
-        successors[j].update(coords)
+        outputs = sum(1 << k for k in coords)
+        successors[i] |= outputs
+        successors[j] |= outputs
     masks = {0}
     for v in range(n):
-        closure = {v}
-        stack = [v]
-        while stack:
-            for k in successors[stack.pop()] - closure:
-                closure.add(k)
-                stack.append(k)
-        closure_mask = sum(1 << k for k in closure)
-        masks |= {mask | closure_mask for mask in masks}
+        closure = new = 1 << v
+        while new:
+            reached = 0
+            for k in _bits(new):
+                reached |= successors[k]
+            new = reached & ~closure
+            closure |= new
+        masks.update([mask | closure for mask in masks])
     found = []
     for mask in sorted(masks):
-        subset = tuple(i for i in range(n) if mask >> i & 1)
-        span = Subspace.from_basis_indices(algebra.field, n, subset)
-        if not is_ideal(algebra, span):
+        subset = tuple(_bits(mask))
+        if not _spans_ideal(algebra, set(subset)):
             raise InternalInvariantViolation(
                 f"closed basis subset {subset} does not span an ideal"
             )
         found.append(subset)
     return found
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -345,9 +417,9 @@ def _analyse(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     agree.
 
     With ``reachability``, the ideal of each basis vector v is also
-    compared with same-part graph reachability from v: while
-    check_weak_division holds it, or right after that call for a vertex
-    it never asks for.  Each ideal is closed once, one at a time."""
+    compared with same-part graph reachability from v.  Weak division and
+    that comparison read the same generator masks, so each generator is
+    closed once per call."""
     graph = build_graph(table, split)
     sub_k = induced_subgraph(graph, "kernel", split)
     sub_j = induced_subgraph(graph, "complement", split)
@@ -355,32 +427,23 @@ def _analyse(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     strong_j = is_strongly_connected(sub_j)
     pairs = 0
     if reachability:
-        part_of = {}   # v -> (its part subgraph, that part's vertex set)
+        generators = _GeneratorIdeals(algebra)
         for part in (sub_k, sub_j):
-            part_of.update(dict.fromkeys(part.vertices,
-                                         (part, set(part.vertices))))
-
-        def ideal_of(v: int) -> Subspace:
-            nonlocal pairs
-            part, vertices = part_of.pop(v)
-            ideal = unit_ideal(algebra, v)
-            members = set(reachable_from(part, v))
-            # the part's vertices whose unit vectors lie in the ideal
-            inside = vertices.intersection(ideal.basis_members())
-            if inside != members:
-                w = next(w for w in part.vertices
-                         if (w in members) != (w in inside))
-                raise InternalInvariantViolation(
-                    f"reachability and ideal closure disagree on "
-                    f"({algebra.labels[v]}, {algebra.labels[w]})"
-                )
-            pairs += len(part.vertices)
-            return ideal
-
-        division, violations = check_weak_division(algebra, table, split,
-                                                   ideal_of=ideal_of)
-        for v in list(part_of):
-            ideal_of(v)
+            part_mask = sum(1 << v for v in part.vertices)
+            for v in part.vertices:
+                members = reachable_from(part, v)
+                # the part's vertices whose unit vectors lie in the ideal
+                inside = generators.mask(v) & part_mask
+                if (inside.bit_count() != len(members)
+                        or not all(inside >> w & 1 for w in members)):
+                    w = next(w for w in part.vertices
+                             if (w in members) != bool(inside >> w & 1))
+                    raise InternalInvariantViolation(
+                        f"reachability and ideal closure disagree on "
+                        f"({algebra.labels[v]}, {algebra.labels[w]})"
+                    )
+                pairs += len(part.vertices)
+        division, violations = _weak_division(table, split, generators)
     else:
         division, violations = check_weak_division(algebra, table, split)
     connected_k = undirected_components(sub_k).count <= 1
@@ -435,8 +498,9 @@ def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
     reachability against ideal-closure membership (both parts, all
     pairs); weak division against weak symmetry of both part subgraphs.
     Returns counters for reporting.  The ideal of each basis vector is
-    closed once per call and compared with reachability while
-    check_weak_division holds it, so one ideal is held at a time.
+    closed once per call, as a bitmask of basis vectors; the masks are
+    kept until the call returns (n^2 bits for dimension n) and serve
+    both the reachability comparison and weak division.
     """
     table = to_multiplicative(algebra, split, validate=False)
     facts = _analyse(algebra, table, split, oracle, bound,

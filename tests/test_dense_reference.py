@@ -45,7 +45,11 @@ from leibniz_graphs.corpus import (
 from leibniz_graphs.equivalence import LinearMap, change_basis, is_automorphism
 from leibniz_graphs.errors import SingularMapError
 from leibniz_graphs.scalars import FieldSpec, Subspace
-from leibniz_graphs.structure import enumerate_basis_ideals, is_ideal
+from leibniz_graphs.structure import (
+    _GeneratorIdeals,
+    enumerate_basis_ideals,
+    is_ideal,
+)
 
 Q = FieldSpec.rationals()
 BIG = FieldSpec.prime(998244353)
@@ -173,6 +177,18 @@ def _assert_unit_closures_agree(alg, tensor) -> int:
     return mixed
 
 
+def _assert_generator_masks_agree(alg, tensor):
+    """On a monomial table, the generator mask of every basis vector lists
+    the basis vectors in the reference ideal it generates."""
+    field, n = alg.field, alg.dim
+    generators = _GeneratorIdeals(alg)
+    for i in range(n):
+        want = ref.ideal_closure(field, tensor, [ref.unit_vector(field, n, i)])
+        assert generators.mask(i) == sum(
+            1 << m for m in range(n)
+            if want.contains(ref.unit_vector(field, n, m))), i
+
+
 def _assert_mutant_agrees(mutant, subset):
     field, n = mutant.field, mutant.dim
     tensor = ref.dense_tensor(mutant)
@@ -183,6 +199,8 @@ def _assert_mutant_agrees(mutant, subset):
         assert leibniz_kernel(mutant).rows == \
             ref.leibniz_kernel(field, tensor).value_rows()
     _assert_unit_closures_agree(mutant, tensor)
+    if all(len(coords) == 1 for coords in mutant.products.values()):
+        _assert_generator_masks_agree(mutant, tensor)
     got = is_ideal(mutant, Subspace.from_basis_indices(field, n, subset))
     assert got == ref.is_ideal(
         field, tensor, ref.Subspace.from_basis_indices(field, n, subset))

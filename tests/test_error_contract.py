@@ -122,6 +122,11 @@ def _algebra_cases():
         ("c_leading_space", _edit(BASE, ["products", 2, "c"], " 2")),
         ("c_trailing_newline", _edit(BASE, ["products", 2, "c"],
                                      BASE["products"][2]["c"] + "\n")),
+        # a rational must be written as scalar_to_json writes it ("-2")
+        ("c_unreduced", _edit(BASE, ["products", 2, "c"], "-4/2")),
+        ("c_denominator_one", _edit(BASE, ["products", 2, "c"], "-2/1")),
+        ("c_leading_zero", _edit(BASE, ["products", 2, "c"], "-02")),
+        ("c_zero_unreduced", _edit(BASE, ["products", 2, "c"], "0/3")),
         ("c_zero", _edit(BASE, ["products", 2, "c"], "0")),
         ("c_gf_string", _edit(BASE_GF, ["products", 0, "c"], "1")),
         ("c_gf_integral_float", _edit(BASE_GF, ["products", 0, "c"], 1.0)),
@@ -155,6 +160,8 @@ def _map_cases():
         ("map_entry_true", _edit(IDENTITY_MAP, ["matrix", 1, 1], True)),
         ("map_entry_trailing_newline", _edit(IDENTITY_MAP,
                                              ["matrix", 1, 1], "1\n")),
+        ("map_entry_unreduced", _edit(IDENTITY_MAP, ["matrix", 1, 1],
+                                      "3/3")),
         ("map_too_few_columns", _edit(IDENTITY_MAP, ["matrix", 4], _DELETE)),
         ("map_short_column", _edit(IDENTITY_MAP, ["matrix", 4, 4], _DELETE)),
         ("map_singular", _edit(IDENTITY_MAP, ["matrix", 4, 4], "0")),

@@ -7,7 +7,11 @@ import random
 import pytest
 
 from leibniz_graphs import graphs
-from leibniz_graphs.algebra import BasisSplit, to_multiplicative
+from leibniz_graphs.algebra import (
+    BasisSplit,
+    MultiplicativeTable,
+    to_multiplicative,
+)
 from leibniz_graphs.corpus import (
     build_example,
     standard_entries,
@@ -31,6 +35,7 @@ from leibniz_graphs.graphs import (
     to_dot,
     undirected_components,
 )
+from leibniz_graphs.scalars import FieldSpec
 
 # e=0 h=1 f=2 p=3 q=4; factors point at products, duplicates collapse
 FIVE_DIM_EDGES = {
@@ -129,9 +134,40 @@ def test_strong_connectivity_conventions():
     assert is_weakly_symmetric(two) == (True, None)  # vacuous: no edges
 
 
+def test_built_graphs_equal_their_validated_copies():
+    # build_graph and induced_subgraph skip the constructor's checks; what
+    # they build must pass them and compare equal to the checked graph
+    for entry in standard_entries():
+        alg, split = entry.build()
+        graph = _graph_of(alg, split)
+        for built in (graph, induced_subgraph(graph, "kernel", split),
+                      induced_subgraph(graph, "complement", split)):
+            checked = DiGraph(list(built.vertices), list(built.labels),
+                              set(built.edges))
+            assert checked == built, entry.name
+            assert type(built.vertices) is tuple
+            assert type(built.labels) is tuple
+            assert type(built.edges) is frozenset
+            assert [built.label_of(v) for v in built.vertices] == \
+                list(built.labels)
+
+
+def test_build_graph_rejects_an_entry_outside_the_table():
+    # a table built by hand is not checked on construction; build_graph
+    # still refuses a product that names no basis vector
+    Q = FieldSpec.rationals()
+    for entry in (((0, 1), (2, Q.one)), ((0, 2), (1, Q.one)),
+                  ((-1, 0), (1, Q.one))):
+        table = MultiplicativeTable(Q, ("a", "b"), (entry,))
+        with pytest.raises(UnknownVertexError, match="leaves the graph"):
+            build_graph(table, BasisSplit.of(2, ()))
+
+
 def test_digraph_validation():
     with pytest.raises(ValueError):
         DiGraph((1, 0), ("a", "b"), frozenset())
+    with pytest.raises(ValueError):
+        DiGraph((0, 0), ("a", "b"), frozenset())
     with pytest.raises(ValueError):
         DiGraph((0, 1), ("a",), frozenset())
     with pytest.raises(UnknownVertexError):

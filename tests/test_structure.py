@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -16,12 +17,14 @@ from leibniz_graphs.algebra import (
     BasisSplit,
     LeibnizAlgebra,
     to_multiplicative,
+    unit_ideal,
 )
 from leibniz_graphs.corpus import (
     build_example,
     filiform,
     five_dim,
     odd_family,
+    permute_basis,
     standard_entries,
     ud_component,
 )
@@ -202,9 +205,9 @@ def _traced_peak(call):
 
 
 def test_weak_division_memory_is_bounded():
-    # Each generator ideal is held as sparse rows and dropped once its
-    # checks are done; with a dense n-tuple per row and every ideal kept
-    # alive, this call peaked at 19.9 MB.
+    # Each generator ideal is held as one int bitmask of basis vectors,
+    # n^2 bits in all; with a dense n-tuple per row and every ideal kept
+    # alive as a subspace, this call peaked at 19.9 MB.
     alg, split = odd_family(121)
     table = to_multiplicative(alg, split, validate=False)
     (holds, violations), peak = _traced_peak(
@@ -212,9 +215,9 @@ def test_weak_division_memory_is_bounded():
     assert holds and violations == []
     assert peak < 2_000_000
 
-    # cross_validate holds one generator ideal at a time as well; with
-    # every ideal kept alive until its reachability loop, it peaked at
-    # 3.6 MB here.
+    # cross_validate keeps every generator mask until it returns; with
+    # every ideal kept alive as a subspace until its reachability loop,
+    # it peaked at 3.6 MB here.
     alg, split = filiform(150)
     stats, peak = _traced_peak(
         lambda: cross_validate(alg, split, oracle=False))
@@ -450,44 +453,49 @@ def test_analysis_report_computes_each_fact_once(monkeypatch, name):
 
 def test_cross_validate_and_check_minimality_compute_each_fact_once(
         monkeypatch):
+    # cross_validate decides weak division on the generator masks that
+    # its reachability check closed, through the function that
+    # check_weak_division wraps
     alg, split = build_example("five_doubled")
-    calls = _count_calls(monkeypatch, SHARED)
+    calls = _count_calls(monkeypatch, SHARED + ("_weak_division",))
     cross_validate(alg, split)
-    assert calls == Counter(dict.fromkeys(SHARED, 1))
+    assert calls == Counter(enumerate_basis_ideals=1, _weak_division=1,
+                            build_graph=1)
 
     calls.clear()
     table = to_multiplicative(alg, split)
     check_minimality(alg, table, split)
-    assert calls == Counter(dict.fromkeys(SHARED, 1))
+    assert calls == Counter(dict.fromkeys(SHARED + ("_weak_division",), 1))
 
 
 def test_enumeration_confirms_every_listed_set(monkeypatch):
-    # a closed set that is_ideal rejects must not be dropped silently
+    # a closed set that the coordinate ideal test rejects must not be
+    # dropped silently
     alg, _split = five_dim()
-    real = structure.is_ideal
+    real = structure._spans_ideal
 
-    def rejecting(algebra, subspace):
-        if subspace.basis_members() == (3, 4):
+    def rejecting(algebra, members):
+        if members == {3, 4}:
             return False
-        return real(algebra, subspace)
+        return real(algebra, members)
 
-    monkeypatch.setattr(structure, "is_ideal", rejecting)
+    monkeypatch.setattr(structure, "_spans_ideal", rejecting)
     with pytest.raises(InternalInvariantViolation, match=r"\(3, 4\)"):
         enumerate_basis_ideals(alg)
 
 
 def test_cross_validate_closes_each_generator_once_per_call(monkeypatch):
     # check_weak_division and the reachability check share one map of
-    # basis-vector ideals within a cross_validate call, not across calls
+    # generator masks within a cross_validate call, not across calls
     alg, split = build_example("five_doubled")
     closed = Counter()
-    real = structure.unit_ideal
+    real = structure._GeneratorIdeals._close
 
-    def counting(algebra, m):
-        closed[m] += 1
-        return real(algebra, m)
+    def counting(self, v):
+        closed[v] += 1
+        return real(self, v)
 
-    monkeypatch.setattr(structure, "unit_ideal", counting)
+    monkeypatch.setattr(structure._GeneratorIdeals, "_close", counting)
     for _call in range(2):
         closed.clear()
         stats = cross_validate(alg, split)
@@ -500,3 +508,65 @@ def test_cross_validate_closes_each_generator_once_per_call(monkeypatch):
     closed.clear()
     check_weak_division(alg, to_multiplicative(alg, split), split)
     assert closed and set(closed.values()) == {1}
+
+
+def _permuted(build, n, seed):
+    alg, split = build(n)
+    order = list(range(alg.dim))
+    random.Random(seed).shuffle(order)
+    alg, split, _position = permute_basis(alg, split, order)
+    return alg, split
+
+
+MASK_CASES = [pytest.param(build, n, seed, id=f"{build.__name__}-{n}-{seed}")
+              for build, n in ((odd_family, 241), (filiform, 500))
+              for seed in (1, 2)]
+
+
+def _assert_masks_match_unit_ideals(alg):
+    # every mask, closed with reuse in post-order, lists exactly the basis
+    # members of the ideal that unit_ideal closes from scratch
+    generators = structure._GeneratorIdeals(alg)
+    for v in range(alg.dim):
+        want = unit_ideal(alg, v).basis_members()
+        assert generators.mask(v) == sum(1 << m for m in want), v
+
+
+@pytest.mark.parametrize("build, n, seed", MASK_CASES)
+def test_generator_masks_match_the_unreused_closure(build, n, seed):
+    _assert_masks_match_unit_ideals(_permuted(build, n, seed)[0])
+
+
+@pytest.mark.parametrize("entry", standard_entries(), ids=lambda e: e.name)
+def test_generator_masks_on_the_corpus(entry):
+    _assert_masks_match_unit_ideals(entry.build()[0])
+
+
+class _CountingRows(tuple):
+    """A row index of an algebra that counts the entries read through it."""
+
+    read = 0
+
+    def __getitem__(self, m):
+        row = tuple.__getitem__(self, m)
+        _CountingRows.read += len(row)
+        return row
+
+
+@pytest.mark.parametrize("build, n, seed", MASK_CASES + [
+    # basis order is the worst request order for a closure that does not
+    # visit outputs first: each generator would walk the whole tail
+    pytest.param(filiform, 500, None, id="filiform-500-unpermuted")])
+def test_generator_masks_read_linearly_many_bracket_entries(build, n, seed,
+                                                            monkeypatch):
+    alg, _split = build(n) if seed is None else _permuted(build, n, seed)
+    monkeypatch.setattr(_CountingRows, "read", 0)
+    alg._left = _CountingRows(alg._left)
+    alg._right = _CountingRows(alg._right)
+    generators = structure._GeneratorIdeals(alg)
+    for v in range(alg.dim):
+        generators.mask(v)
+    # each closure stops at stored masks, so the entries read stay a small
+    # multiple of dim + products (2x on filiform, about 6x on odd_family);
+    # closing generators from scratch reads sum |I(v)| rows, quadratic here
+    assert _CountingRows.read <= 8 * (alg.dim + len(alg.products))
