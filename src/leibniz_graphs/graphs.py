@@ -5,16 +5,23 @@ Edge rule: every nonzero product [v_i, v_j] = c * v_k contributes the two
 edges (v_i, v_k) and (v_j, v_k); both factors point at the product.
 Coefficients are discarded, duplicates collapse, loops are kept.
 
-A DiGraph is immutable, so what is derived from it -- the sorted edge
-order, the successor lists, the strong components -- is derived at most
-once per graph, on first use; after the one sort every predicate runs in
-O(V + E).
+A vertex is a basis index, so everything derived from a DiGraph is an
+array indexed by vertex: a list of successor rows, int lists for the
+index, low-link and component-id bookkeeping of the searches, a bytearray
+of visited vertices.  An index that is not a vertex (a gap in an induced
+subgraph) gets an empty row.  A DiGraph is immutable, so the successor
+rows and the strong components are derived at most once per graph, on
+first use.  Each row is sorted once, O(E log d) for out-degree d, and
+the edge order is the walk over the vertices and their rows in order:
+no O(E log E) sort of edge pairs and no stored tuple per edge.  Every
+predicate and emitter then runs in O(V + E).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field as dc_field
+from itertools import compress
 from typing import Iterable, Literal
 
 from .algebra import BasisSplit, MultiplicativeTable
@@ -62,15 +69,18 @@ class DiGraph:
     indices even in induced subgraphs, so labels stay aligned.
 
     Derived structures are cached on the instance on first use; they are
-    not fields, so equality and hashing see only the graph itself."""
+    not fields, so equality and hashing see only the graph itself.  They
+    are arrays with one entry per index up to the largest vertex."""
 
-    vertices: tuple  # strictly increasing vertex indices
+    vertices: tuple  # strictly increasing non-negative vertex indices
     labels: tuple    # labels[t] names vertices[t]
     edges: frozenset  # pairs (a, b) of vertex indices
     _label: dict = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vs = tuple(self.vertices)
+        if not all(type(v) is int for v in vs) or (vs and vs[0] < 0):
+            raise ValueError("vertices must be non-negative basis indices")
         if list(vs) != sorted(set(vs)):
             raise ValueError("vertices must be strictly increasing")
         if len(self.labels) != len(vs):
@@ -106,30 +116,34 @@ class DiGraph:
             raise UnknownVertexError(f"vertex {v} not in graph") from None
 
     @_derived
-    def _sorted_edges(self) -> tuple:
-        return tuple(sorted(self.edges))
-
-    @_derived
-    def _successors(self) -> dict:
-        """vertex -> list of its out-neighbours (in no particular order;
-        every reader's result is order-independent)."""
-        succ = {v: [] for v in self.vertices}
+    def _successors(self) -> list:
+        """Row v lists the out-neighbours of vertex v in increasing order,
+        for v in range(vertices[-1] + 1); an index that is not a vertex
+        has an empty row.  Walking the vertices in order and each row in
+        order gives the edges in sorted order."""
+        vertices = self.vertices
+        succ = [[] for _ in range(vertices[-1] + 1)] if vertices else []
         for a, b in self.edges:
             succ[a].append(b)
+        for row in succ:
+            row.sort()
         return succ
 
     @_derived
-    def _strong(self) -> ComponentPartition:
+    def _strong(self) -> tuple:
+        """(the strong-component partition, its groups in the order
+        Tarjan's search completes them: reverse topological order)."""
         return _tarjan(self)
 
     def sorted_edges(self) -> list:
         """The edges sorted by vertex index pair, as a fresh list."""
-        return list(self._sorted_edges)
+        succ = self._successors
+        return [(a, b) for a in self.vertices for b in succ[a]]
 
     def edge_labels(self) -> list:
         """[label_a, label_b] for each edge, in sorted edge order."""
-        label = self._label
-        return [[label[a], label[b]] for a, b in self._sorted_edges]
+        label, succ = self._label, self._successors
+        return [[label[a], label[b]] for a in self.vertices for b in succ[a]]
 
 
 def build_graph(table: MultiplicativeTable, split: BasisSplit) -> DiGraph:
@@ -151,19 +165,26 @@ def build_graph(table: MultiplicativeTable, split: BasisSplit) -> DiGraph:
 
 
 def induced_subgraph(graph: DiGraph, part: Part, split: BasisSplit) -> DiGraph:
-    """Vertex-induced subgraph on the kernel part or the complement part."""
+    """Vertex-induced subgraph on the kernel part or the complement part.
+
+    Only the successor rows of the kept vertices are read; the filtered
+    rows, still sorted, become the subgraph's own successor rows."""
     if part == "kernel":
         keep = set(split.kernel)
     elif part == "complement":
         keep = set(split.complement)
     else:
         raise ValueError(f"part must be 'kernel' or 'complement', got {part!r}")
-    vertices = tuple(v for v in graph.vertices if v in keep)
-    labels = tuple(l for v, l in zip(graph.vertices, graph.labels)
-                   if v in keep)
-    edges = frozenset((a, b) for a, b in graph.edges
-                      if a in keep and b in keep)
-    return DiGraph._trusted(vertices, labels, edges)
+    vertices = tuple(filter(keep.__contains__, graph.vertices))
+    parent = graph._successors
+    succ = [()] * (vertices[-1] + 1 if vertices else 0)
+    for a in vertices:
+        succ[a] = [b for b in parent[a] if b in keep]
+    sub = DiGraph._trusted(
+        vertices, tuple(map(graph._label.__getitem__, vertices)),
+        frozenset([(a, b) for a in vertices for b in succ[a]]))
+    sub.__dict__["_successors"] = succ  # where _derived would store it
+    return sub
 
 
 @dataclass(frozen=True)
@@ -198,104 +219,131 @@ class ComponentPartition:
         return len({cid for _v, cid in self.assignment})
 
 
-def _canonical_partition(kind, vertices, groups: Iterable
-                         ) -> ComponentPartition:
-    """The partition of ``vertices`` into ``groups``, each group named by
-    its smallest vertex."""
-    ids = {}
-    for group in groups:
-        cid = min(group)
-        for v in group:
-            ids[v] = cid
-    return ComponentPartition(kind, tuple((v, ids[v]) for v in vertices))
-
-
 def undirected_components(graph: DiGraph) -> ComponentPartition:
-    """Connected components after forgetting edge directions (one
-    depth-first search, O(V + E))."""
-    neighbours = {v: [] for v in graph.vertices}
+    """Connected components after forgetting edge directions: one
+    depth-first search over neighbour rows, O(V + E).  Roots are taken in
+    increasing order, so each component is named by its root."""
+    vertices = graph.vertices
+    neighbours = [list(row) for row in graph._successors]
     for a, b in graph.edges:
-        neighbours[a].append(b)
         neighbours[b].append(a)
-    seen: set = set()
-    groups = []
-    for root in graph.vertices:
-        if root in seen:
+    component = [-1] * len(neighbours)
+    for root in vertices:
+        if component[root] >= 0:
             continue
-        seen.add(root)
-        group = [root]
-        for v in group:  # grows while it is walked
-            for w in neighbours[v]:
-                if w not in seen:
-                    seen.add(w)
-                    group.append(w)
-        groups.append(group)
-    return _canonical_partition("undirected", graph.vertices, groups)
+        component[root] = root
+        todo = [root]
+        while todo:
+            for w in neighbours[todo.pop()]:
+                if component[w] < 0:
+                    component[w] = root
+                    todo.append(w)
+    return ComponentPartition(
+        "undirected", tuple(zip(vertices, map(component.__getitem__,
+                                              vertices))))
 
 
-def _tarjan(graph: DiGraph) -> ComponentPartition:
-    """Strongly connected components, iterative Tarjan, O(V + E)."""
-    adj = graph._successors
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
+def _tarjan(graph: DiGraph) -> tuple:
+    """Strongly connected components, iterative Tarjan, O(V + E).
+
+    Returns the partition and the groups in the order they are completed,
+    which is reverse topological: every group is completed after each
+    group it has an edge into.  A vertex whose group is completed gets
+    the index DONE, which no low-link reaches, so the on-stack test is
+    one comparison."""
+    vertices, succ = graph.vertices, graph._successors
+    DONE = len(succ)  # larger than every search index
+    index = [-1] * DONE  # -1: not yet visited
+    low = [0] * DONE
+    component = [0] * DONE
     stack: list = []
     groups: list = []
-    for root in graph.vertices:
-        if root in index:
+    counter = 0
+    for root in vertices:
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(adj[root]))]
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                iw = index[w]
+                if iw < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
+                if iw < low[v]:
+                    low[v] = iw
             else:
                 work.pop()
+                lv = low[v]
                 if work:
                     parent_v = work[-1][0]
-                    if low[v] < low[parent_v]:
-                        low[parent_v] = low[v]
-                if low[v] == index[v]:
-                    group = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        group.append(w)
-                        if w == v:
-                            break
+                    if lv < low[parent_v]:
+                        low[parent_v] = lv
+                if lv == index[v]:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    group = stack[at:]
+                    del stack[at:]
+                    cid = min(group)
+                    for w in group:
+                        index[w] = DONE
+                        component[w] = cid
                     groups.append(group)
-    return _canonical_partition("strong", graph.vertices, groups)
+    partition = ComponentPartition(
+        "strong", tuple(zip(vertices, map(component.__getitem__, vertices))))
+    return partition, groups
 
 
 def strong_components(graph: DiGraph) -> ComponentPartition:
     """Strongly connected components (computed once per graph)."""
-    return graph._strong
+    return graph._strong[0]
+
+
+def _reach_masks(graph: DiGraph) -> list:
+    """For every vertex v, the int bitmask of the vertices reachable from
+    v by a directed path, v included, as a list indexed by vertex (0 at
+    an index that is not a vertex).
+
+    The strong groups are visited sinks first, so the masks of every
+    group a group has an edge into are already known: its mask is its
+    own bits ORed with those.  Inside the group the masks are still 0,
+    so ORing them in changes nothing.  O(V + E) big-int ORs."""
+    succ = graph._successors
+    reach = [0] * len(succ)
+    for group in graph._strong[1]:
+        mask = 0
+        for v in group:
+            mask |= 1 << v
+        for v in group:
+            for w in succ[v]:
+                mask |= reach[w]
+        for v in group:
+            reach[v] = mask
+    return reach
 
 
 def reachable_from(graph: DiGraph, v: int) -> tuple:
     """Vertices reachable from v by a directed path; v itself counts
     (the empty path)."""
-    adj = graph._successors
-    if v not in adj:
+    if v not in graph._label:  # the rows also accept -1 and gap indices
         raise UnknownVertexError(f"vertex {v} not in graph")
-    seen = {v}
+    succ = graph._successors
+    seen = bytearray(len(succ))
+    seen[v] = 1
     queue = deque([v])
     while queue:
-        for w in adj[queue.popleft()]:
-            if w not in seen:
-                seen.add(w)
+        for w in succ[queue.popleft()]:
+            if not seen[w]:
+                seen[w] = 1
                 queue.append(w)
-    return tuple(sorted(seen))
+    return tuple(compress(range(len(seen)), seen))
 
 
 def is_weakly_symmetric(graph: DiGraph):
@@ -303,9 +351,12 @@ def is_weakly_symmetric(graph: DiGraph):
     component; returns (flag, witness_edge_or_None).  The witness is the
     first offending edge in sorted order."""
     ids = strong_components(graph)._ids
-    for a, b in graph._sorted_edges:
-        if ids[a] != ids[b]:
-            return False, (a, b)
+    succ = graph._successors
+    for a in graph.vertices:
+        cid = ids[a]
+        for b in succ[a]:
+            if ids[b] != cid:
+                return False, (a, b)
     return True, None
 
 
@@ -325,12 +376,13 @@ def to_dot(graph: DiGraph, kernel_vertices: Iterable[int] = (),
            name: str = "leibniz") -> str:
     """Deterministic DOT text; kernel-part vertices are drawn as boxes."""
     kernel = set(kernel_vertices)
+    succ = graph._successors
     quoted = {v: _quote(label) for v, label in graph._label.items()}
     lines = [f"digraph {name} {{"]
     lines += [f"  {quoted[v]} [shape={'box' if v in kernel else 'ellipse'}];"
               for v in graph.vertices]
     lines += [f"  {quoted[a]} -> {quoted[b]};"
-              for a, b in graph._sorted_edges]
+              for a in graph.vertices for b in succ[a]]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -338,5 +390,7 @@ def to_dot(graph: DiGraph, kernel_vertices: Iterable[int] = (),
 def edge_list_text(graph: DiGraph) -> str:
     """One 'a -> b' line per edge, sorted by vertex index pair."""
     label = graph._label
-    lines = [f"{label[a]} -> {label[b]}" for a, b in graph._sorted_edges]
+    succ = graph._successors
+    lines = [f"{label[a]} -> {label[b]}" for a in graph.vertices
+             for b in succ[a]]
     return "\n".join(lines) + ("\n" if lines else "")

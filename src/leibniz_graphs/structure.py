@@ -36,11 +36,11 @@ from .errors import (
 )
 from .graphs import (
     DiGraph,
+    _reach_masks,
     build_graph,
     induced_subgraph,
     is_strongly_connected,
     is_weakly_symmetric,
-    reachable_from,
     undirected_components,
 )
 from .scalars import Subspace
@@ -417,9 +417,11 @@ def _analyse(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     agree.
 
     With ``reachability``, the ideal of each basis vector v is also
-    compared with same-part graph reachability from v.  Weak division and
-    that comparison read the same generator masks, so each generator is
-    closed once per call."""
+    compared with same-part graph reachability from v: the reach mask of
+    v in its part subgraph (``_reach_masks``, from the graph side only)
+    must equal v's generator mask restricted to the part, one int compare
+    per vertex.  Weak division and that comparison read the same
+    generator masks, so each generator is closed once per call."""
     graph = build_graph(table, split)
     sub_k = induced_subgraph(graph, "kernel", split)
     sub_j = induced_subgraph(graph, "complement", split)
@@ -430,19 +432,18 @@ def _analyse(algebra: LeibnizAlgebra, table: MultiplicativeTable,
         generators = _GeneratorIdeals(algebra)
         for part in (sub_k, sub_j):
             part_mask = sum(1 << v for v in part.vertices)
+            reach = _reach_masks(part)
             for v in part.vertices:
-                members = reachable_from(part, v)
                 # the part's vertices whose unit vectors lie in the ideal
                 inside = generators.mask(v) & part_mask
-                if (inside.bit_count() != len(members)
-                        or not all(inside >> w & 1 for w in members)):
-                    w = next(w for w in part.vertices
-                             if (w in members) != bool(inside >> w & 1))
+                if reach[v] != inside:
+                    differ = reach[v] ^ inside
+                    w = (differ & -differ).bit_length() - 1
                     raise InternalInvariantViolation(
                         f"reachability and ideal closure disagree on "
                         f"({algebra.labels[v]}, {algebra.labels[w]})"
                     )
-                pairs += len(part.vertices)
+            pairs += len(part.vertices) ** 2
         division, violations = _weak_division(table, split, generators)
     else:
         division, violations = check_weak_division(algebra, table, split)
@@ -500,7 +501,8 @@ def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
     Returns counters for reporting.  The ideal of each basis vector is
     closed once per call, as a bitmask of basis vectors; the masks are
     kept until the call returns (n^2 bits for dimension n) and serve
-    both the reachability comparison and weak division.
+    both the reachability comparison and weak division.  The reach masks
+    of one part subgraph at a time add at most n^2 bits more.
     """
     table = to_multiplicative(algebra, split, validate=False)
     facts = _analyse(algebra, table, split, oracle, bound,

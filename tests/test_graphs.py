@@ -18,6 +18,7 @@ from leibniz_graphs.corpus import (
     filiform,
     five_dim,
     fuzz_instances,
+    odd_family,
     permute_basis,
     rescale_basis,
     ud_component,
@@ -176,6 +177,10 @@ def test_digraph_validation():
     assert graph.label_of(2) == "b"
     with pytest.raises(UnknownVertexError):
         graph.label_of(1)
+    # vertices are basis indices: they index the derived arrays
+    for bad in ((-1, 0), (0, "b"), (0, 1.0), (True,)):
+        with pytest.raises(ValueError, match="non-negative basis indices"):
+            DiGraph(bad, ("a",) * len(bad), frozenset())
 
 
 def test_ud_component_graph_golden():
@@ -366,3 +371,99 @@ def test_subgraph_of_a_warm_graph_equals_one_built_fresh():
             assert from_warm == fresh
             assert (_observations(from_warm, split.kernel)
                     == _observations(fresh, split.kernel))
+
+
+def test_induced_subgraphs_with_gaps_and_the_empty_part():
+    # the kernel part {1, 3, 4, 7} leaves the gap indices 0, 2, 5 and 6
+    # below its top vertex; the complement part {0, 2, 5, 6, 8} has its own
+    edges = {(0, 1), (1, 3), (3, 1), (3, 4), (4, 7), (7, 7), (2, 4),
+             (5, 6), (6, 8), (8, 0), (8, 5)}
+    graph = DiGraph(tuple(range(9)), tuple(f"v{i}" for i in range(9)),
+                    frozenset(edges))
+    split = BasisSplit.of(9, (1, 3, 4, 7))
+    kernel = induced_subgraph(graph, "kernel", split)
+    assert kernel.vertices == (1, 3, 4, 7)
+    assert kernel.labels == ("v1", "v3", "v4", "v7")
+    assert kernel.edges == {(1, 3), (3, 1), (3, 4), (4, 7), (7, 7)}
+    assert kernel == DiGraph(kernel.vertices, kernel.labels, kernel.edges)
+    assert kernel.sorted_edges() == [(1, 3), (3, 1), (3, 4), (4, 7), (7, 7)]
+    strong = strong_components(kernel)
+    assert strong.assignment == ((1, 1), (3, 1), (4, 4), (7, 7))
+    assert undirected_components(kernel).assignment == (
+        (1, 1), (3, 1), (4, 1), (7, 1))
+    assert is_weakly_symmetric(kernel) == (False, (3, 4))
+    assert reachable_from(kernel, 3) == (1, 3, 4, 7)
+    assert reachable_from(kernel, 4) == (4, 7)
+    # one mask per index up to the top vertex, 0 at every gap
+    assert graphs._reach_masks(kernel) == [
+        0, 0b10011010, 0, 0b10011010, 0b10010000, 0, 0, 0b10000000]
+    for v in (0, 2, 5, 6, -1, kernel.vertices[-1] + 1):
+        with pytest.raises(UnknownVertexError, match=f"vertex {v} not in"):
+            reachable_from(kernel, v)
+    assert edge_list_text(kernel) == (
+        "v1 -> v3\nv3 -> v1\nv3 -> v4\nv4 -> v7\nv7 -> v7\n")
+
+    complement = induced_subgraph(graph, "complement", split)
+    assert complement.vertices == (0, 2, 5, 6, 8)
+    assert complement.edges == {(5, 6), (6, 8), (8, 0), (8, 5)}
+    assert strong_components(complement).classes() == ((0,), (2,), (5, 6, 8))
+    assert undirected_components(complement).classes() == ((0, 5, 6, 8),
+                                                           (2,))
+    assert reachable_from(complement, 5) == (0, 5, 6, 8)
+    for v in (1, 3, 4, 7, -1, 9):
+        with pytest.raises(UnknownVertexError):
+            reachable_from(complement, v)
+
+    empty = induced_subgraph(graph, "kernel", BasisSplit.of(9, ()))
+    assert empty == DiGraph((), (), frozenset())
+    assert strong_components(empty).assignment == ()
+    assert undirected_components(empty).count == 0
+    assert is_strongly_connected(empty)
+    assert is_weakly_symmetric(empty) == (True, None)
+    assert graphs._reach_masks(empty) == []
+    assert to_dot(empty) == "digraph leibniz {\n}\n"
+    assert edge_list_text(empty) == "" and empty.edge_labels() == []
+    for v in (0, -1):
+        with pytest.raises(UnknownVertexError):
+            reachable_from(empty, v)
+
+
+def test_strong_groups_come_in_reverse_topological_order():
+    # every edge between two groups leads to a group completed earlier
+    rng = random.Random(1618)
+    for _ in range(200):
+        graph = _random_digraph(rng)
+        partition, groups = graph._strong
+        assert partition is strong_components(graph)
+        assert sorted(v for group in groups for v in group) == list(
+            graph.vertices)
+        position = {v: t for t, group in enumerate(groups) for v in group}
+        for a, b in graph.edges:
+            assert position[b] <= position[a]
+            assert (position[a] == position[b]) == (
+                partition.id_of(a) == partition.id_of(b))
+
+
+def _permuted_parts(build, n, seed):
+    alg, split = build(n)
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    perm, p_split, _position = permute_basis(alg, split, order)
+    graph = build_graph(to_multiplicative(perm, p_split, validate=False),
+                        p_split)
+    return [induced_subgraph(graph, part, p_split)
+            for part in ("kernel", "complement")]
+
+
+@pytest.mark.parametrize("build, n", ((odd_family, 241), (filiform, 500)))
+def test_reach_masks_match_reachable_from_on_permuted_families(build, n):
+    for part in _permuted_parts(build, n, seed=n):
+        reach = graphs._reach_masks(part)
+        assert len(reach) == part.vertices[-1] + 1
+        members = set(part.vertices)
+        for v in range(len(reach)):
+            if v in members:
+                assert reach[v] == sum(1 << w for w in
+                                       reachable_from(part, v)), v
+            else:
+                assert reach[v] == 0, v

@@ -6,8 +6,12 @@ components a DiGraph caches, so checking one predicate against another
 (SCCs against pairwise reachability, say) no longer compares independent
 routes.  Here each one is compared with networkx instead, on random
 digraphs, on every corpus graph with its part subgraphs, and on a
-permuted odd_family(1201) table.  The networkx graphs of algebras are
-built straight from the products, not from ``build_graph``.
+permuted odd_family(1201) table; the reach masks behind cross_validate
+are compared with ``nx.descendants`` wherever reachability is.  Random
+digraphs on vertex sets with gaps, and their induced subgraphs, exercise
+the vertex-indexed arrays at indices that are not vertices.  The
+networkx graphs of algebras are built straight from the products, not
+from ``build_graph``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import random
 import networkx as nx
 import pytest
 
+from leibniz_graphs import graphs
 from leibniz_graphs.algebra import (BasisSplit, MultiplicativeTable,
                                     to_multiplicative)
 from leibniz_graphs.corpus import odd_family, permute_basis, standard_entries
@@ -80,9 +85,12 @@ def assert_matches_networkx(graph: DiGraph, ref: nx.DiGraph,
     witness = crossing[0] if crossing else None
     assert is_weakly_symmetric(graph) == (not crossing, witness)
 
+    reach = graphs._reach_masks(graph)
+    assert len(reach) == (graph.vertices[-1] + 1 if graph.vertices else 0)
     for v in graph.vertices if reach_from is None else reach_from:
-        assert reachable_from(graph, v) == tuple(
-            sorted(nx.descendants(ref, v) | {v}))
+        members = nx.descendants(ref, v) | {v}
+        assert reachable_from(graph, v) == tuple(sorted(members))
+        assert reach[v] == sum(1 << w for w in members)
 
 
 def test_random_digraphs_match_networkx():
@@ -93,6 +101,33 @@ def test_random_digraphs_match_networkx():
             graph = _random_digraph(rng)
             assert_matches_networkx(graph,
                                     _nx_graph(graph.vertices, graph.edges))
+
+
+def _random_gapped_digraph(rng) -> DiGraph:
+    """A random digraph on a random subset of range(top): the indices
+    between its vertices are gaps."""
+    top = rng.randint(1, 16)
+    vertices = tuple(sorted(rng.sample(range(top), rng.randint(0, top))))
+    density = rng.choice([0.05, 0.15, 0.4])
+    edges = frozenset((a, b) for a in vertices for b in vertices
+                      if rng.random() < density)
+    return DiGraph(vertices, tuple(f"v{v}" for v in vertices), edges)
+
+
+def test_random_gapped_digraphs_and_their_subgraphs_match_networkx():
+    rng = random.Random(8128)
+    for _ in range(300):
+        graph = _random_gapped_digraph(rng)
+        ref = _nx_graph(graph.vertices, graph.edges)
+        assert_matches_networkx(graph, ref)
+        dim = graph.vertices[-1] + 1 if graph.vertices else 0
+        split = BasisSplit.of(dim, (v for v in range(dim)
+                                    if rng.random() < 0.5))
+        for part, members in (("kernel", split.kernel),
+                              ("complement", split.complement)):
+            # networkx ignores the members that are not vertices
+            assert_matches_networkx(induced_subgraph(graph, part, split),
+                                    ref.subgraph(members))
 
 
 def _triples(algebra) -> list:

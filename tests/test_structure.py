@@ -276,12 +276,15 @@ def test_coordinate_ideal_tests_run_no_elimination(monkeypatch):
 def test_cross_validate_catches_a_lying_reachability(monkeypatch, vertex,
                                                      pair):
     alg, split = build_example("ud_plus_five")
-    real = structure.reachable_from
+    real = structure._reach_masks
 
-    def lying(graph, v):
-        return (v,) if v == vertex else real(graph, v)
+    def lying(graph):
+        reach = real(graph)
+        if vertex in graph.vertices:
+            reach[vertex] = 1 << vertex  # v reaches only itself
+        return reach
 
-    monkeypatch.setattr(structure, "reachable_from", lying)
+    monkeypatch.setattr(structure, "_reach_masks", lying)
     with pytest.raises(InternalInvariantViolation, match=re.escape(pair)):
         cross_validate(alg, split)
 
