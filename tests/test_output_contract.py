@@ -1,0 +1,134 @@
+"""The CLI's output on valid documents, frozen by length and digest.
+
+Each case runs one CLI command in process on one of the standard corpus
+documents, as exported or with its basis permuted, and compares its exit
+code, its stderr and the length and sha256 of its stdout (UTF-8 bytes)
+with ``tests/output_contract.json``.  Every subcommand and every
+``--format`` runs on every document; ``corpus`` and ``fuzz``, which read
+no document, run once per example and once.  The documents are written
+with the standard library's ``json.dumps``, so the inputs do not depend
+on the package's own emitter.
+
+After a deliberate change to an output, rewrite the table with
+
+    PYTHONPATH=src python tests/test_output_contract.py
+
+and review its diff: an entry that changes is a change of behaviour,
+an entry that is only added is not.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from leibniz_graphs.corpus import permute_basis, standard_entries
+from leibniz_graphs.jsonio import algebra_to_json
+
+from test_error_contract import run_case
+
+TABLE = Path(__file__).with_name("output_contract.json")
+
+
+def _documents():
+    """(name, algebra document) for each corpus entry, plain and with
+    its basis in a seeded random order."""
+    for seed, entry in enumerate(standard_entries()):
+        name = entry.name + "".join(f"-{k}{v}"
+                                    for k, v in entry.params.items())
+        algebra, split = entry.build()
+        yield name, algebra_to_json(algebra, split)
+        order = list(range(algebra.dim))
+        random.Random(seed).shuffle(order)
+        permuted, permuted_split, _ = permute_basis(algebra, split, order)
+        yield f"{name}-permuted", algebra_to_json(permuted, permuted_split)
+
+
+def _commands(doc):
+    """(name, argv) for every subcommand and format on doc.json."""
+    n = len(doc["labels"])
+    yield "validate", ["validate", "doc.json"]
+    for fmt in ("json", "dot", "text"):
+        yield f"graph-{fmt}", ["graph", "doc.json", "--format", fmt]
+        for part in ("kernel", "complement"):
+            yield (f"subgraph-{part}-{fmt}",
+                   ["subgraph", "doc.json", "--part", part, "--format", fmt])
+    for fmt in ("json", "text"):
+        yield f"decompose-{fmt}", ["decompose", "doc.json", "--format", fmt]
+        yield f"minimal-{fmt}", ["minimal", "doc.json", "--format", fmt]
+    yield ("ideal-generator",
+           ["ideal", "doc.json", "--generator", doc["labels"][-1]])
+    # one "=" argument, so argparse does not read "-1,..." as an option
+    coords = ",".join(str(i % 3 - 1) for i in range(n))
+    yield "ideal-coords", ["ideal", "doc.json", f"--coords={coords}"]
+    yield "weakdiv", ["weakdiv", "doc.json"]
+    yield "equiv-identity", ["equiv", "doc.json", "--map", "map.json"]
+
+
+def cases():
+    """Every case as (name, argv, {file name: text})."""
+    for doc_name, doc in _documents():
+        n = len(doc["labels"])
+        identity = {"matrix": [["1" if i == j else "0" for i in range(n)]
+                               for j in range(n)]}
+        files = {"doc.json": json.dumps(doc),
+                 "map.json": json.dumps(identity)}
+        for command, argv in _commands(doc):
+            yield f"{doc_name}:{command}", argv, files
+    for fmt in ("json", "text"):
+        yield f"corpus-list-{fmt}", ["corpus", "list", "--format", fmt], {}
+    for entry in standard_entries():
+        argv = ["corpus", "export", entry.name]
+        if "n" in entry.params:
+            argv += ["--n", str(entry.params["n"])]
+        yield "corpus-export-" + "-".join(argv[2:]), argv, {}
+    yield ("fuzz", ["fuzz", "--seed", "3", "--count", "6", "--dim", "4",
+                    "--prime", "7"], {})
+
+
+def observe(directory: Path, argv, files) -> dict:
+    """Run one case and reduce its stdout to length and digest."""
+    result = run_case(directory, argv, files)
+    out = result["stdout"].encode("utf-8")
+    return {
+        "exit": result["exit"],
+        "stderr": result["stderr"],
+        "stdout_length": len(out),
+        "stdout_sha256": hashlib.sha256(out).hexdigest(),
+    }
+
+
+CASES = list(cases())
+
+
+@pytest.fixture(scope="module")
+def table():
+    return json.loads(TABLE.read_text(encoding="utf-8"))
+
+
+def test_every_case_is_in_the_table(table):
+    names = [name for name, _argv, _files in CASES]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(table)
+
+
+@pytest.mark.parametrize("name, argv, files", CASES,
+                         ids=[case[0] for case in CASES])
+def test_output_contract(name, argv, files, table, tmp_path):
+    assert observe(tmp_path, argv, files) == table[name]
+
+
+if __name__ == "__main__":
+    frozen = {}
+    for name, argv, files in CASES:
+        with tempfile.TemporaryDirectory() as scratch:
+            frozen[name] = observe(Path(scratch), argv, files)
+    TABLE.write_text(json.dumps(frozen, indent=2, ensure_ascii=False) + "\n",
+                     encoding="utf-8")
+    print(f"wrote {len(frozen)} cases to {TABLE}", file=sys.stderr)
