@@ -12,6 +12,15 @@ Scalars serialize canonically: reduced ``"a"``/``"a/b"`` strings with a
 positive denominator over the rationals, plain integers ``0..p-1`` over
 GF(p).  Emission is deterministic, so serialize/parse round-trips are
 byte-stable.
+
+``dumps`` is the package's one JSON emitter.  It writes a fixed layout,
+that of ``json.dumps(value, indent=2, ensure_ascii=False)`` followed by a
+newline: one item per line, indented two spaces per level, a comma
+ending every line but a container's last, ``": "`` after each key,
+empty containers as ``[]`` and ``{}``, and non-ASCII text unescaped.
+It accepts dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
+``bool`` and ``None``, and raises TypeError on anything else, floats
+included.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring as _quote
 
 from .algebra import (
     BasisSplit,
@@ -342,5 +352,50 @@ def map_from_json(doc, field: FieldSpec, dim: int):
 
 
 def dumps(obj) -> str:
-    """The one JSON emitter: fixed layout, trailing newline, byte-stable."""
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """The one JSON emitter: the text of ``json.dumps(obj, indent=2,
+    ensure_ascii=False)`` plus a trailing newline, byte for byte.
+
+    Accepts dicts with ``str`` keys (in insertion order), lists, tuples,
+    ``str``, ``int``, ``bool`` and ``None``; anything else, a float or a
+    non-``str`` key included, raises TypeError.  Each container is one
+    string join, so no pure-Python encoder runs."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(value, pad: str) -> str:
+    """The text of value, whose own line starts with pad (a newline and
+    the indent).  String items are quoted in place, without a call."""
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:  # a list of strings, by far the most common, in one C pass
+            body = ("," + inner).join(map(_quote, value))
+        except TypeError:
+            body = ("," + inner).join([
+                _quote(item) if type(item) is str else _encode(item, inner)
+                for item in value
+            ])
+        return "[" + inner + body + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # _quote raises TypeError on a key that is not a str
+        return "{" + inner + ("," + inner).join([
+            _quote(key) + ": " + (_quote(item) if type(item) is str
+                                  else _encode(item, inner))
+            for key, item in value.items()
+        ]) + pad + "}"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )

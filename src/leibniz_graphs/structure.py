@@ -450,9 +450,10 @@ def _analyse(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     connected_k = undirected_components(sub_k).count <= 1
     connected_j = undirected_components(sub_j).count <= 1
 
+    if oracle is not False and bound is None:
+        bound = enumeration_bound()  # read once, then passed on
     if oracle is None:
-        limit = bound if bound is not None else enumeration_bound()
-        oracle = algebra.dim <= limit
+        oracle = algebra.dim <= bound
     ideals = enumerate_basis_ideals(algebra, bound) if oracle else None
     oracle_result = (None if ideals is None
                      else _oracle_minimal(algebra, split, ideals))

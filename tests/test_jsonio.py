@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from leibniz_graphs.algebra import BasisSplit
 from leibniz_graphs.corpus import fuzz_instances, standard_entries
@@ -26,6 +29,7 @@ from leibniz_graphs.jsonio import (
     scalar_to_json,
 )
 from leibniz_graphs.scalars import FieldSpec
+from leibniz_graphs.structure import analysis_report
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -222,6 +226,70 @@ def test_dumps_layout_is_fixed():
     text = dumps({"b": 1, "a": [1, 2]})
     assert text == '{\n  "b": 1,\n  "a": [\n    1,\n    2\n  ]\n}\n'
     assert text == dumps({"b": 1, "a": [1, 2]})
+
+
+# Characters that the encoder must escape or pass through untouched:
+# quotes, backslashes, every control character, the line and paragraph
+# separators, non-ASCII text and lone surrogates.
+_SPECIAL = ['"', "\\", "/", "\x7f", "\u2028", "\u2029", "\u00e9", "\u6f22",
+            "\U0001f600", "\ud800", "\udfff"] + [chr(c) for c in range(32)]
+_TEXT = st.text(st.one_of(st.sampled_from(_SPECIAL),
+                          st.characters(exclude_categories=())), max_size=8)
+_LEAVES = st.one_of(
+    _TEXT, st.none(), st.booleans(),
+    st.integers(), st.integers(-10 ** 40, 10 ** 40), st.sampled_from([0, 1]),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(_TEXT, max_size=5),
+        st.dictionaries(_TEXT, inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@seed(20)
+@settings(max_examples=100, deadline=None)
+@given(_VALUES)
+def test_dumps_is_the_standard_library_indent_2_layout(value):
+    assert dumps(value) == json.dumps(value, indent=2,
+                                      ensure_ascii=False) + "\n"
+
+
+def test_dumps_matches_the_standard_library_on_every_corpus_report():
+    for entry in standard_entries():
+        algebra, split = entry.build()
+        for value in (analysis_report(algebra, split),
+                      algebra_to_json(algebra, split)):
+            assert dumps(value) == json.dumps(value, indent=2,
+                                              ensure_ascii=False) + "\n"
+
+
+_UNSERIALIZABLE = {
+    "float": 1.5,
+    "integral_float": 2.0,
+    "fraction": Fraction(1, 2),
+    "set": {1, 2},
+    "frozenset": frozenset(),
+    "bytes": b"x",
+    "object": object(),
+    "int_key": {1: "a"},
+    "none_key": {None: "a"},
+    "tuple_key": {("a",): 1},
+    "nested_float": [{"a": [1.0]}],
+    "nested_set": {"a": {"b": {2}}},
+    "float_after_strings": ["a", "b", 3.0],
+}
+
+
+@pytest.mark.parametrize("value", list(_UNSERIALIZABLE.values()),
+                         ids=list(_UNSERIALIZABLE))
+def test_dumps_rejects_what_the_documents_never_hold(value):
+    with pytest.raises(TypeError):
+        dumps(value)
 
 
 def test_shipped_schemas_load():

@@ -122,6 +122,31 @@ def test_enumeration_bound_guard(monkeypatch):
     assert enumerate_basis_ideals(alg)[1] == (3, 4)
 
 
+def test_analysis_report_reads_the_enumeration_bound_once(monkeypatch):
+    reads = []
+
+    def counted():
+        reads.append(1)
+        return enumeration_bound()
+
+    monkeypatch.setattr(structure, "enumeration_bound", counted)
+    monkeypatch.setenv(ENUM_BOUND_ENV, "5")
+    alg, split = five_dim()
+    for oracle in (None, True):
+        reads.clear()
+        report = analysis_report(alg, split, oracle=oracle)
+        assert report["minimality"]["oracle"] is True
+        assert len(reads) == 1
+    monkeypatch.setenv(ENUM_BOUND_ENV, "4")
+    reads.clear()
+    assert analysis_report(alg, split)["minimality"]["oracle"] is None
+    assert len(reads) == 1
+    reads.clear()
+    assert analysis_report(alg, split, bound=5)["oracle_ideals"]
+    assert analysis_report(alg, split, oracle=False)["oracle_ideals"] is None
+    assert reads == []
+
+
 def test_decompose_direct_sum_into_two_parts():
     alg, split = build_example("ud_plus_five")
     table, graph = _table_graph(alg, split)
