@@ -251,7 +251,10 @@ def run_case(directory: Path, argv, files) -> dict:
     os.chdir(directory)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejected the command line
+                code = exc.code
     finally:
         os.chdir(cwd)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}

@@ -71,16 +71,56 @@ def _commands(doc):
     yield "equiv-identity", ["equiv", "doc.json", "--map", "map.json"]
 
 
+def _plain_commands(doc):
+    """(name, argv) for the option variants, run on the unpermuted
+    documents only: the oracle switch and bound of minimal, ideal by
+    every label and by the separate-argument form of --coords, and equiv
+    with the map
+    that moves basis vector j to j + n // 2 (mod n), which swaps the two
+    copies of five_doubled and is no automorphism of the others."""
+    for fmt in ("json", "text"):
+        for oracle in ("on", "off"):
+            yield (f"minimal-oracle-{oracle}-{fmt}",
+                   ["minimal", "doc.json", "--oracle", oracle,
+                    "--format", fmt])
+        yield (f"minimal-bound3-{fmt}",
+               ["minimal", "doc.json", "--bound", "3", "--format", fmt])
+    for label in doc["labels"]:
+        yield f"ideal-generator-{label}", ["ideal", "doc.json",
+                                           "--generator", label]
+    coords = ",".join(str(i % 3 - 1) for i in range(len(doc["labels"])))
+    yield "ideal-coords-separate", ["ideal", "doc.json", "--coords", coords]
+    yield "equiv-rotation", ["equiv", "doc.json", "--map", "rotation.json"]
+
+
+def _unit_matrix(images):
+    """The map document whose column j is the unit vector at images[j]."""
+    n = len(images)
+    return {"matrix": [["1" if i == image else "0" for i in range(n)]
+                       for image in images]}
+
+
 def cases():
     """Every case as (name, argv, {file name: text})."""
     for doc_name, doc in _documents():
         n = len(doc["labels"])
-        identity = {"matrix": [["1" if i == j else "0" for i in range(n)]
-                               for j in range(n)]}
         files = {"doc.json": json.dumps(doc),
-                 "map.json": json.dumps(identity)}
+                 "map.json": json.dumps(_unit_matrix(range(n)))}
         for command, argv in _commands(doc):
             yield f"{doc_name}:{command}", argv, files
+        if doc_name.endswith("-permuted"):
+            continue
+        rotation = [(j + n // 2) % n for j in range(n)]
+        files = dict(files, **{"rotation.json":
+                               json.dumps(_unit_matrix(rotation))})
+        for command, argv in _plain_commands(doc):
+            yield f"{doc_name}:{command}", argv, files
+        # without "kernel" the parse computes the kernel ideal itself
+        files = {"doc.json": json.dumps(dict(
+            (key, value) for key, value in doc.items() if key != "kernel"))}
+        for command in ("validate", "minimal", "weakdiv", "decompose"):
+            yield (f"{doc_name}-no-kernel:{command}",
+                   [command, "doc.json"], files)
     for fmt in ("json", "text"):
         yield f"corpus-list-{fmt}", ["corpus", "list", "--format", fmt], {}
     for entry in standard_entries():
@@ -90,6 +130,11 @@ def cases():
         yield "corpus-export-" + "-".join(argv[2:]), argv, {}
     yield ("fuzz", ["fuzz", "--seed", "3", "--count", "6", "--dim", "4",
                     "--prime", "7"], {})
+    for seed in ("1", "2"):
+        for flag in ("--no-check", "--no-transforms"):
+            yield (f"fuzz-seed{seed}{flag[1:]}",
+                   ["fuzz", "--seed", seed, "--count", "6", "--dim", "4",
+                    "--prime", "7", flag], {})
 
 
 def observe(directory: Path, argv, files) -> dict:
