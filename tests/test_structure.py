@@ -21,6 +21,7 @@ from leibniz_graphs.algebra import (
 )
 from leibniz_graphs.corpus import (
     build_example,
+    direct_sum,
     filiform,
     five_dim,
     odd_family,
@@ -496,6 +497,18 @@ def test_cross_validate_and_check_minimality_compute_each_fact_once(
     assert calls == Counter(dict.fromkeys(SHARED + ("_weak_division",), 1))
 
 
+def test_minimality_routes_must_agree(monkeypatch):
+    # a graph route that says "not minimal" against a division route that
+    # says "minimal" is a broken theorem, with or without the oracle
+    alg, split = five_dim()
+    table = to_multiplicative(alg, split)
+    monkeypatch.setattr(structure, "is_strongly_connected",
+                        lambda graph: False)
+    with pytest.raises(InternalInvariantViolation,
+                       match="minimality routes disagree"):
+        check_minimality(alg, table, split, oracle=False)
+
+
 def test_enumeration_confirms_every_listed_set(monkeypatch):
     # a closed set that the coordinate ideal test rejects must not be
     # dropped silently
@@ -551,11 +564,11 @@ MASK_CASES = [pytest.param(build, n, seed, id=f"{build.__name__}-{n}-{seed}")
               for seed in (1, 2)]
 
 
-def _assert_masks_match_unit_ideals(alg):
+def _assert_masks_match_unit_ideals(alg, order=None):
     # every mask, closed with reuse in post-order, lists exactly the basis
     # members of the ideal that unit_ideal closes from scratch
     generators = structure._GeneratorIdeals(alg)
-    for v in range(alg.dim):
+    for v in range(alg.dim) if order is None else order:
         want = unit_ideal(alg, v).basis_members()
         assert generators.mask(v) == sum(1 << m for m in want), v
 
@@ -568,6 +581,14 @@ def test_generator_masks_match_the_unreused_closure(build, n, seed):
 @pytest.mark.parametrize("entry", standard_entries(), ids=lambda e: e.name)
 def test_generator_masks_on_the_corpus(entry):
     _assert_masks_match_unit_ideals(entry.build()[0])
+
+
+def test_generator_masks_on_a_direct_sum_closed_back_to_front():
+    # w = e_5 ends the filiform summand and w + 1 = e starts the other,
+    # whose masks are closed first: a closure that lands on the stored
+    # mask of w must take in that mask alone, and I(w + 1) lies outside
+    alg, _split = direct_sum(*filiform(5), *five_dim())
+    _assert_masks_match_unit_ideals(alg, reversed(range(alg.dim)))
 
 
 class _CountingRows(tuple):
