@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
 from . import corpus as corpus_mod
-from .algebra import to_multiplicative
+from .algebra import unit_ideal
 from .equivalence import (
     LinearMap,
     decomposition_equivalence,
@@ -30,12 +31,7 @@ from .errors import (
     InternalInvariantViolation,
     LeibnizGraphsError,
 )
-from .graphs import (
-    build_graph,
-    edge_list_text,
-    induced_subgraph,
-    to_dot,
-)
+from .graphs import edge_list_text, to_dot
 from .jsonio import (
     algebra_from_json,
     algebra_to_json,
@@ -47,11 +43,8 @@ from .jsonio import (
 )
 from .scalars import FieldSpec
 from .structure import (
-    ENUM_BOUND_ENV,
-    analysis_report,
-    check_weak_division,
-    cross_validate,
-    decompose,
+    DEFAULT_ENUM_BOUND,
+    _Analysis,
     generated_ideal,
     weak_division_json,
 )
@@ -92,8 +85,9 @@ def _read_json(path: str) -> dict:
         )
 
 
-def _load_algebra(path: str):
-    return algebra_from_json(_read_json(path))
+def _load(path: str, **options) -> _Analysis:
+    """The one analysis of a document that a command reads."""
+    return _Analysis(*algebra_from_json(_read_json(path)), **options)
 
 
 def _emit(text: str, out_path: Optional[str] = None) -> None:
@@ -127,32 +121,31 @@ def _render_graph(graph, split, fmt: str, out: Optional[str]) -> int:
 
 
 def _cmd_validate(args) -> int:
-    algebra, split, table = _load_algebra(args.input)
+    facts = _load(args.input)
+    algebra = facts.algebra
     _emit(dumps({
         "ok": True,
         "field": field_to_json(algebra.field),
         "dimension": algebra.dim,
-        "kernel": [algebra.labels[k] for k in split.kernel],
-        "table_entries": len(table.entries),
+        "kernel": [algebra.labels[k] for k in facts.split.kernel],
+        "table_entries": len(facts.table.entries),
     }), args.output)
     return EXIT_OK
 
 
 def _cmd_graph(args) -> int:
-    algebra, split, table = _load_algebra(args.input)
-    return _render_graph(build_graph(table, split), split,
-                         args.format, args.output)
+    facts = _load(args.input)
+    return _render_graph(facts.graph, facts.split, args.format, args.output)
 
 
 def _cmd_subgraph(args) -> int:
-    algebra, split, table = _load_algebra(args.input)
-    graph = induced_subgraph(build_graph(table, split), args.part, split)
-    return _render_graph(graph, split, args.format, args.output)
+    facts = _load(args.input)
+    graph = facts.sub_k if args.part == "kernel" else facts.sub_j
+    return _render_graph(graph, facts.split, args.format, args.output)
 
 
 def _cmd_decompose(args) -> int:
-    algebra, split, table = _load_algebra(args.input)
-    dec = decompose(algebra, table, split)
+    dec = _load(args.input).decomposition
     if args.format == "text":
         lines = [
             f"part {idx}: dim {part.dim}: {' '.join(part.labels)}"
@@ -170,13 +163,13 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_ideal(args) -> int:
-    algebra, split, table = _load_algebra(args.input)
+    algebra = _load(args.input).algebra
     if args.generator is not None:
         try:
             idx = algebra.index_of(args.generator)
         except KeyError as exc:
             raise InputDocumentError(str(exc))
-        vector = algebra.unit(idx)
+        ideal = unit_ideal(algebra, idx)
         shown = args.generator
     else:
         raw = [part.strip() for part in args.coords.split(",")]
@@ -195,8 +188,8 @@ def _cmd_ideal(args) -> int:
                     f"{text!r} is not an integer residue", f"coords[{i}]"
                 ) from None
         vector = tuple(parse_one(i, t) for i, t in enumerate(raw))
+        ideal = generated_ideal(algebra, vector)
         shown = args.coords
-    ideal = generated_ideal(algebra, vector)
     _emit(dumps({
         "generator": shown,
         "dimension": ideal.rank,
@@ -207,9 +200,8 @@ def _cmd_ideal(args) -> int:
 
 
 def _cmd_minimal(args) -> int:
-    algebra, split, table = _load_algebra(args.input)
     oracle = {"auto": None, "on": True, "off": False}[args.oracle]
-    report = analysis_report(algebra, split, oracle=oracle, bound=args.bound)
+    report = _load(args.input, oracle=oracle, bound=args.bound).report()
     minimality = report["minimality"]
     if args.format == "text":
         lines = [f"minimal: {minimality['minimal']}"]
@@ -231,15 +223,16 @@ def _cmd_minimal(args) -> int:
 
 
 def _cmd_weakdiv(args) -> int:
-    algebra, split, table = _load_algebra(args.input)
-    holds, violations = check_weak_division(algebra, table, split)
-    _emit(dumps(weak_division_json(algebra, table, holds, violations)),
-          args.output)
+    facts = _load(args.input)
+    holds, violations = facts.weak_division
+    _emit(dumps(weak_division_json(facts.algebra, facts.table, holds,
+                                   violations)), args.output)
     return EXIT_OK if holds else EXIT_FALSE
 
 
 def _cmd_equiv(args) -> int:
-    algebra, split, table = _load_algebra(args.input)
+    facts = _load(args.input)
+    algebra = facts.algebra
     columns = map_from_json(_read_json(args.map), algebra.field, algebra.dim)
     f = LinearMap.from_columns(algebra.field, columns)
     ok, witness = is_automorphism(algebra, f)
@@ -264,8 +257,7 @@ def _cmd_equiv(args) -> int:
         algebra.labels[j]: algebra.labels[i]
         for j, i in sorted(bijection.items())
     }
-    graph = build_graph(table, split)
-    dec = decompose(algebra, table, split, graph)
+    graph, dec = facts.graph, facts.decomposition
     iso = induced_graph_isomorphism(graph, graph, bijection)
     dec_eq = decomposition_equivalence(dec, dec, bijection)
     result["graph_isomorphic"] = iso
@@ -337,22 +329,19 @@ def _cmd_fuzz(args) -> int:
                    "minimal": 0},
     }
     for algebra, split in instances:
-        table = to_multiplicative(algebra, split, validate=False)
+        facts = _Analysis(algebra, split)
         row = {
             "dimension": algebra.dim,
             "kernel": [algebra.labels[k] for k in split.kernel],
-            "table_entries": len(table.entries),
+            "table_entries": len(facts.table.entries),
         }
         if args.check:
-            stats = cross_validate(algebra, split)
+            stats = facts.cross_validation()
             row["minimal"] = stats["minimal"]
-            report["totals"]["reachability_pairs"] += (
-                stats["reachability_pairs"]
-            )
-            report["totals"]["weak_division_holds"] += (
-                1 if stats["weak_division"] else 0
-            )
-            report["totals"]["minimal"] += 1 if stats["minimal"] else 0
+            totals = report["totals"]
+            totals["reachability_pairs"] += stats["reachability_pairs"]
+            totals["weak_division_holds"] += int(stats["weak_division"])
+            totals["minimal"] += int(stats["minimal"])
         report["instances"].append(row)
     _emit(dumps(report), args.output)
     return EXIT_OK
@@ -414,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the subset-enumeration oracle (auto: when the "
                         "dimension allows)")
     p.add_argument("--bound", type=int, default=None,
-                   help=f"enumeration bound override (also {ENUM_BOUND_ENV})")
+                   help="largest dimension the oracle enumerates (default "
+                        f"{DEFAULT_ENUM_BOUND})")
     add_common(p, formats=("json", "text"))
     p.set_defaults(func=_cmd_minimal)
 
@@ -464,6 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with "-1," as an option, so each
+    # "--coords V" with such a V is passed on as "--coords=V"
+    for at in range(len(argv) - 1, 0, -1):
+        if argv[at - 1] == "--coords" and re.match(r"-\d", argv[at]):
+            argv[at - 1:at + 1] = ["--coords=" + argv[at]]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

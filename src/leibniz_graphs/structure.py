@@ -16,9 +16,8 @@ complement part J:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .algebra import (
     BasisSplit,
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .graphs import (
     DiGraph,
+    _derived,
     _reach_masks,
     build_graph,
     induced_subgraph,
@@ -43,6 +43,7 @@ from .graphs import (
     is_weakly_symmetric,
     undirected_components,
 )
+from .jsonio import field_to_json, scalar_to_json
 from .scalars import Subspace
 
 __all__ = [
@@ -60,21 +61,7 @@ __all__ = [
     "weak_division_json",
 ]
 
-ENUM_BOUND_ENV = "LEIBNIZ_GRAPHS_ENUM_BOUND"
-DEFAULT_ENUM_BOUND = 16
-
-
-def enumeration_bound() -> int:
-    """Subset-enumeration safety bound; overridable via the environment."""
-    raw = os.environ.get(ENUM_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENUM_BOUND_ENV} must be an integer, got {raw!r}"
-        ) from None
+DEFAULT_ENUM_BOUND = 16  # largest dimension the oracle lists by default
 
 
 def is_ideal(algebra: LeibnizAlgebra, subspace: Subspace) -> bool:
@@ -148,33 +135,10 @@ def decompose(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     failure of either check contradicts the component theorem and raises
     InternalInvariantViolation.
     """
-    if graph is None:
-        graph = build_graph(table, split)
-    classes = undirected_components(graph).classes()
-    parts = []
-    for group in classes:
-        subspace = Subspace.from_basis_indices(
-            algebra.field, algebra.dim, group
-        )
-        if not is_ideal(algebra, subspace):
-            raise InternalInvariantViolation(
-                f"graph component {group} does not span an ideal"
-            )
-        labels = tuple(algebra.labels[v] for v in group)
-        parts.append(DecompositionPart(min(group), group, labels, subspace))
-    # Every cross-component basis product must vanish; report the first
-    # offending pair in part order.
-    part_of = {v: t for t, part in enumerate(parts) for v in part.vertices}
-    crossing = [min((part_of[i], part_of[j], i, j),
-                    (part_of[j], part_of[i], j, i))
-                for i, j in algebra.products if part_of[i] != part_of[j]]
-    if crossing:
-        a_idx, b_idx, i, j = min(crossing)
-        raise InternalInvariantViolation(
-            f"components {parts[a_idx].vertices} and "
-            f"{parts[b_idx].vertices} are not orthogonal at ({i},{j})"
-        )
-    return Decomposition(tuple(sorted(parts, key=lambda p: p.component_id)))
+    facts = _Analysis(algebra, split, table)
+    if graph is not None:
+        facts.graph = graph
+    return facts.decomposition
 
 
 def restrict_to_indices(algebra: LeibnizAlgebra, split: BasisSplit,
@@ -219,7 +183,7 @@ class _GeneratorIdeals:
     its closure is complete.
 
     The basis must be multiplicative, as a MultiplicativeTable of the
-    algebra proves; both callers hold one.
+    algebra proves; the analysis that holds the masks holds one.
     """
 
     def __init__(self, algebra: LeibnizAlgebra):
@@ -280,23 +244,7 @@ def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     The ideal of each v_k is closed once, as a bitmask of basis vectors
     (``_GeneratorIdeals``), and each membership is one bit test.
     """
-    return _weak_division(table, split, _GeneratorIdeals(algebra))
-
-
-def _weak_division(table: MultiplicativeTable, split: BasisSplit,
-                   generators: _GeneratorIdeals):
-    kernel = set(split.kernel)
-    violations = []
-    for (i, j), (k, _c) in table.entries:
-        if i in kernel and k in kernel:
-            members = (i,)
-        elif i not in kernel and j not in kernel and k not in kernel:
-            members = (i, j)
-        else:
-            continue
-        mask = generators.mask(k)
-        violations += [((i, j), k, m) for m in members if not mask >> m & 1]
-    return (not violations), violations
+    return _Analysis(algebra, split, table).weak_division
 
 
 def enumerate_basis_ideals(algebra: LeibnizAlgebra,
@@ -318,7 +266,7 @@ def enumerate_basis_ideals(algebra: LeibnizAlgebra,
     InternalInvariantViolation.
     """
     if bound is None:
-        bound = enumeration_bound()
+        bound = DEFAULT_ENUM_BOUND
     n = algebra.dim
     if n > bound:
         raise DimensionTooLargeError(
@@ -385,109 +333,250 @@ class MinimalityVerdict:
                 and self.connected_complement)
 
 
-def _oracle_minimal(algebra: LeibnizAlgebra, split: BasisSplit,
-                    ideals: list) -> bool:
-    full = tuple(range(algebra.dim))
-    proper = [s for s in ideals if s and s != full]
-    expected = [split.kernel] if split.kernel else []
-    return sorted(proper) == sorted(expected)
+class _Analysis:
+    """Every fact that the decisions and reports read about one algebra
+    and basis split, each derived on first read and kept: one object per
+    request computes each fact at most once.  ``table`` is the split's
+    multiplicative table when the caller holds it already; ``oracle`` and
+    ``bound`` are check_minimality's.  The generator masks, once closed,
+    serve both weak division and the reachability comparison.
+    """
 
+    def __init__(self, algebra: LeibnizAlgebra, split: BasisSplit,
+                 table: Optional[MultiplicativeTable] = None,
+                 oracle: Optional[bool] = None, bound: Optional[int] = None):
+        self.algebra = algebra
+        self.split = split
+        self.bound = DEFAULT_ENUM_BOUND if bound is None else bound
+        self.oracle = algebra.dim <= self.bound if oracle is None else oracle
+        self.generators = _GeneratorIdeals(algebra)
+        if table is not None:
+            self.table = table  # where _derived would store it
 
-class _Analysis(NamedTuple):
-    """The facts that check_minimality, cross_validate and
-    analysis_report share, each computed once per call."""
+    @_derived
+    def table(self) -> MultiplicativeTable:
+        return to_multiplicative(self.algebra, self.split, validate=False)
 
-    graph: DiGraph
-    sub_k: DiGraph
-    sub_j: DiGraph
-    division: bool
-    violations: list
-    ideals: Optional[list]  # None when the oracle did not run
-    verdict: MinimalityVerdict
-    pairs: int  # same-part pairs compared by reachability (0 if not asked)
+    @_derived
+    def graph(self) -> DiGraph:
+        return build_graph(self.table, self.split)
 
+    @_derived
+    def sub_k(self) -> DiGraph:
+        return induced_subgraph(self.graph, "kernel", self.split)
 
-def _analyse(algebra: LeibnizAlgebra, table: MultiplicativeTable,
-             split: BasisSplit, oracle: Optional[bool],
-             bound: Optional[int], reachability: bool = False
-             ) -> _Analysis:
-    """Build the graph and both part subgraphs, decide weak division by
-    closure and, when the oracle runs, list the basis ideals, each once;
-    then decide minimality from them and require every computed route to
-    agree.
+    @_derived
+    def sub_j(self) -> DiGraph:
+        return induced_subgraph(self.graph, "complement", self.split)
 
-    With ``reachability``, the ideal of each basis vector v is also
-    compared with same-part graph reachability from v: the reach mask of
-    v in its part subgraph (``_reach_masks``, from the graph side only)
-    must equal v's generator mask restricted to the part, one int compare
-    per vertex.  Weak division and that comparison read the same
-    generator masks, so each generator is closed once per call."""
-    graph = build_graph(table, split)
-    sub_k = induced_subgraph(graph, "kernel", split)
-    sub_j = induced_subgraph(graph, "complement", split)
-    strong_k = is_strongly_connected(sub_k)
-    strong_j = is_strongly_connected(sub_j)
-    pairs = 0
-    if reachability:
-        generators = _GeneratorIdeals(algebra)
-        for part in (sub_k, sub_j):
+    @_derived
+    def weak_division(self) -> tuple:
+        """(holds, violations), as check_weak_division returns them."""
+        kernel = set(self.split.kernel)
+        violations = []
+        for (i, j), (k, _c) in self.table.entries:
+            if i in kernel and k in kernel:
+                members = (i,)
+            elif i not in kernel and j not in kernel and k not in kernel:
+                members = (i, j)
+            else:
+                continue
+            mask = self.generators.mask(k)
+            violations += [((i, j), k, m)
+                           for m in members if not mask >> m & 1]
+        return (not violations), violations
+
+    @_derived
+    def components(self) -> tuple:
+        """The vertex sets of the graph's undirected components."""
+        return undirected_components(self.graph).classes()
+
+    @_derived
+    def weak_symmetry(self) -> tuple:
+        """is_weakly_symmetric of the kernel and the complement subgraph."""
+        return is_weakly_symmetric(self.sub_k), is_weakly_symmetric(self.sub_j)
+
+    @_derived
+    def ideals(self) -> Optional[list]:
+        """The basis ideals, or None when the oracle does not run."""
+        if self.oracle:
+            return enumerate_basis_ideals(self.algebra, self.bound)
+        return None
+
+    @_derived
+    def decomposition(self) -> Decomposition:
+        """As decompose documents it."""
+        algebra = self.algebra
+        parts = []
+        for group in self.components:
+            subspace = Subspace.from_basis_indices(algebra.field,
+                                                   algebra.dim, group)
+            if not is_ideal(algebra, subspace):
+                raise InternalInvariantViolation(
+                    f"graph component {group} does not span an ideal"
+                )
+            labels = tuple(algebra.labels[v] for v in group)
+            parts.append(DecompositionPart(min(group), group, labels,
+                                           subspace))
+        # Every cross-component basis product must vanish; report the first
+        # offending pair in part order.
+        part_of = {v: t for t, part in enumerate(parts) for v in part.vertices}
+        crossing = [min((part_of[i], part_of[j], i, j),
+                        (part_of[j], part_of[i], j, i))
+                    for i, j in algebra.products if part_of[i] != part_of[j]]
+        if crossing:
+            a_idx, b_idx, i, j = min(crossing)
+            raise InternalInvariantViolation(
+                f"components {parts[a_idx].vertices} and "
+                f"{parts[b_idx].vertices} are not orthogonal at ({i},{j})"
+            )
+        return Decomposition(tuple(parts))  # components come in id order
+
+    @_derived
+    def verdict(self) -> MinimalityVerdict:
+        """Minimality by every route that runs; all of them must agree."""
+        strong_k = is_strongly_connected(self.sub_k)
+        strong_j = is_strongly_connected(self.sub_j)
+        connected_k = undirected_components(self.sub_k).count <= 1
+        connected_j = undirected_components(self.sub_j).count <= 1
+        oracle_result = None
+        if self.ideals is not None:  # the proper nonzero ones: the kernel
+            full = tuple(range(self.algebra.dim))
+            proper = [s for s in self.ideals if s and s != full]
+            kernel = self.split.kernel
+            oracle_result = proper == ([kernel] if kernel else [])
+        verdict = MinimalityVerdict(
+            minimal=strong_k and strong_j,
+            strong_kernel=strong_k,
+            strong_complement=strong_j,
+            weak_division=self.weak_division[0],
+            connected_kernel=connected_k,
+            connected_complement=connected_j,
+            oracle_minimal=oracle_result,
+        )
+        if verdict.via_graph != verdict.via_division:
+            raise InternalInvariantViolation(
+                f"minimality routes disagree: graph={verdict.via_graph} "
+                f"division={verdict.via_division}"
+            )
+        if oracle_result is not None and oracle_result != verdict.via_graph:
+            raise InternalInvariantViolation(
+                f"minimality oracle disagrees with graph route: "
+                f"oracle={oracle_result} graph={verdict.via_graph}"
+            )
+        return verdict
+
+    def cross_validation(self) -> dict:
+        """The checks and counters of cross_validate."""
+        labels = self.algebra.labels
+        pairs = 0
+        for part in (self.sub_k, self.sub_j):
             part_mask = sum(1 << v for v in part.vertices)
             reach = _reach_masks(part)
             for v in part.vertices:
                 # the part's vertices whose unit vectors lie in the ideal
-                inside = generators.mask(v) & part_mask
+                inside = self.generators.mask(v) & part_mask
                 if reach[v] != inside:
                     differ = reach[v] ^ inside
                     w = (differ & -differ).bit_length() - 1
                     raise InternalInvariantViolation(
                         f"reachability and ideal closure disagree on "
-                        f"({algebra.labels[v]}, {algebra.labels[w]})"
+                        f"({labels[v]}, {labels[w]})"
                     )
             pairs += len(part.vertices) ** 2
-        division, violations = _weak_division(table, split, generators)
-    else:
-        division, violations = check_weak_division(algebra, table, split)
-    connected_k = undirected_components(sub_k).count <= 1
-    connected_j = undirected_components(sub_j).count <= 1
+        verdict = self.verdict
+        (sym_k, _wk), (sym_j, _wj) = self.weak_symmetry
+        if verdict.weak_division != (sym_k and sym_j):
+            raise InternalInvariantViolation(
+                f"weak division ({verdict.weak_division}) disagrees with "
+                f"part weak symmetry ({sym_k}, {sym_j})"
+            )
+        return {
+            "reachability_pairs": pairs,
+            "weak_division": verdict.weak_division,
+            "minimal": verdict.minimal,
+            "oracle_ran": verdict.oracle_minimal is not None,
+        }
 
-    if oracle is not False and bound is None:
-        bound = enumeration_bound()  # read once, then passed on
-    if oracle is None:
-        oracle = algebra.dim <= bound
-    ideals = enumerate_basis_ideals(algebra, bound) if oracle else None
-    oracle_result = (None if ideals is None
-                     else _oracle_minimal(algebra, split, ideals))
+    def report(self) -> dict:
+        """The dictionary that analysis_report returns."""
+        algebra, split = self.algebra, self.split
+        labels = algebra.labels
+        verdict = self.verdict
 
-    verdict = MinimalityVerdict(
-        minimal=strong_k and strong_j,
-        strong_kernel=strong_k,
-        strong_complement=strong_j,
-        weak_division=division,
-        connected_kernel=connected_k,
-        connected_complement=connected_j,
-        oracle_minimal=oracle_result,
-    )
-    if verdict.via_graph != verdict.via_division:
-        raise InternalInvariantViolation(
-            f"minimality routes disagree: graph={verdict.via_graph} "
-            f"division={verdict.via_division}"
-        )
-    if oracle_result is not None and oracle_result != verdict.via_graph:
-        raise InternalInvariantViolation(
-            f"minimality oracle disagrees with graph route: "
-            f"oracle={oracle_result} graph={verdict.via_graph}"
-        )
-    return _Analysis(graph, sub_k, sub_j, division, violations, ideals,
-                     verdict, pairs)
+        def subgraph_block(g: DiGraph, symmetry: tuple, connected: bool,
+                           strong: bool) -> dict:
+            symmetric, witness = symmetry
+            return {
+                "vertices": list(g.labels),
+                "edge_count": len(g.edges),
+                "edges": g.edge_labels(),
+                "connected": connected,
+                "weakly_symmetric": symmetric,
+                "weak_symmetry_witness": (
+                    None if witness is None
+                    else [g.label_of(witness[0]), g.label_of(witness[1])]
+                ),
+                "strongly_connected": strong,
+            }
+
+        flags = []
+        if not split.kernel:
+            flags.append("empty-kernel-part")
+        if algebra.dim <= 1:
+            flags.append("degenerate-dimension")
+
+        sym_k, sym_j = self.weak_symmetry
+        return {
+            "field": field_to_json(algebra.field),
+            "labels": list(labels),
+            "dimension": algebra.dim,
+            "kernel": [labels[i] for i in split.kernel],
+            "split": {
+                "kernel": [labels[i] for i in split.kernel],
+                "complement": [labels[i] for i in split.complement],
+            },
+            "table_entries": len(self.table.entries),
+            "graph": {
+                "edge_count": len(self.graph.edges),
+                "edges": self.graph.edge_labels(),
+            },
+            "subgraphs": {
+                "kernel": subgraph_block(self.sub_k, sym_k,
+                                         verdict.connected_kernel,
+                                         verdict.strong_kernel),
+                "complement": subgraph_block(self.sub_j, sym_j,
+                                             verdict.connected_complement,
+                                             verdict.strong_complement),
+            },
+            "components": [
+                [labels[v] for v in group] for group in self.components
+            ],
+            "weak_division": weak_division_json(algebra, self.table,
+                                                *self.weak_division),
+            "minimality": {
+                "minimal": verdict.minimal,
+                "strongly_connected_kernel": verdict.strong_kernel,
+                "strongly_connected_complement": verdict.strong_complement,
+                "weak_division": verdict.weak_division,
+                "connected_kernel": verdict.connected_kernel,
+                "connected_complement": verdict.connected_complement,
+                "oracle": verdict.oracle_minimal,
+            },
+            "oracle_ideals": None if self.ideals is None else [
+                [labels[i] for i in subset] for subset in self.ideals],
+            "flags": flags,
+        }
 
 
 def check_minimality(algebra: LeibnizAlgebra, table: MultiplicativeTable,
                      split: BasisSplit, *, oracle: Optional[bool] = None,
                      bound: Optional[int] = None) -> MinimalityVerdict:
     """Decide minimality by the two graph routes, optionally also by the
-    enumeration oracle (oracle=None runs it whenever the dimension allows),
-    and require all computed routes to agree."""
-    return _analyse(algebra, table, split, oracle, bound).verdict
+    enumeration oracle (oracle=None runs it whenever the dimension is at
+    most the bound, DEFAULT_ENUM_BOUND unless given), and require all
+    computed routes to agree."""
+    return _Analysis(algebra, split, table, oracle, bound).verdict
 
 
 def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
@@ -498,39 +587,23 @@ def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
 
     Checks: agreement of all minimality routes; same-part graph
     reachability against ideal-closure membership (both parts, all
-    pairs); weak division against weak symmetry of both part subgraphs.
-    Returns counters for reporting.  The ideal of each basis vector is
-    closed once per call, as a bitmask of basis vectors; the masks are
-    kept until the call returns (n^2 bits for dimension n) and serve
-    both the reachability comparison and weak division.  The reach masks
-    of one part subgraph at a time add at most n^2 bits more.
+    pairs), where the reach mask of each vertex in its part subgraph
+    (``_reach_masks``, from the graph side only) must equal its ideal's
+    mask restricted to the part; weak division against weak symmetry of
+    both part subgraphs.  Returns counters for reporting.  The ideal of
+    each basis vector is closed once per call, as a bitmask of basis
+    vectors; the masks are kept until the call returns (n^2 bits for
+    dimension n) and serve both checks.  The reach masks of one part
+    subgraph at a time add at most n^2 bits more.
     """
-    table = to_multiplicative(algebra, split, validate=False)
-    facts = _analyse(algebra, table, split, oracle, bound,
-                     reachability=True)
-
-    sym_k, _wk = is_weakly_symmetric(facts.sub_k)
-    sym_j, _wj = is_weakly_symmetric(facts.sub_j)
-    if facts.division != (sym_k and sym_j):
-        raise InternalInvariantViolation(
-            f"weak division ({facts.division}) disagrees with part weak "
-            f"symmetry ({sym_k}, {sym_j})"
-        )
-
-    return {
-        "reachability_pairs": facts.pairs,
-        "weak_division": facts.division,
-        "minimal": facts.verdict.minimal,
-        "oracle_ran": facts.verdict.oracle_minimal is not None,
-    }
+    return _Analysis(algebra, split, oracle=oracle,
+                     bound=bound).cross_validation()
 
 
 def weak_division_json(algebra: LeibnizAlgebra, table: MultiplicativeTable,
                        holds: bool, violations) -> dict:
     """The JSON form of a check_weak_division result: each violation
     names its product and the factor missing from the product's ideal."""
-    from .jsonio import scalar_to_json
-
     labels = algebra.labels
     return {
         "holds": holds,
@@ -553,74 +626,4 @@ def analysis_report(algebra: LeibnizAlgebra, split: BasisSplit, *,
     """One JSON-ready dictionary with every headline fact about the
     algebra.  Key order is fixed and arrays are sorted, so serialization
     is byte-stable."""
-    from .jsonio import field_to_json
-
-    table = to_multiplicative(algebra, split, validate=False)
-    facts = _analyse(algebra, table, split, oracle, bound)
-    graph, verdict = facts.graph, facts.verdict
-    components = undirected_components(graph).classes()
-
-    def subgraph_block(g: DiGraph, connected: bool, strong: bool) -> dict:
-        symmetric, witness = is_weakly_symmetric(g)
-        return {
-            "vertices": list(g.labels),
-            "edge_count": len(g.edges),
-            "edges": g.edge_labels(),
-            "connected": connected,
-            "weakly_symmetric": symmetric,
-            "weak_symmetry_witness": (
-                None if witness is None
-                else [g.label_of(witness[0]), g.label_of(witness[1])]
-            ),
-            "strongly_connected": strong,
-        }
-
-    flags = []
-    if not split.kernel:
-        flags.append("empty-kernel-part")
-    if algebra.dim <= 1:
-        flags.append("degenerate-dimension")
-
-    oracle_ideals = None
-    if facts.ideals is not None:
-        oracle_ideals = [[algebra.labels[i] for i in subset]
-                         for subset in facts.ideals]
-
-    return {
-        "field": field_to_json(algebra.field),
-        "labels": list(algebra.labels),
-        "dimension": algebra.dim,
-        "kernel": [algebra.labels[i] for i in split.kernel],
-        "split": {
-            "kernel": [algebra.labels[i] for i in split.kernel],
-            "complement": [algebra.labels[i] for i in split.complement],
-        },
-        "table_entries": len(table.entries),
-        "graph": {
-            "edge_count": len(graph.edges),
-            "edges": graph.edge_labels(),
-        },
-        "subgraphs": {
-            "kernel": subgraph_block(facts.sub_k, verdict.connected_kernel,
-                                     verdict.strong_kernel),
-            "complement": subgraph_block(facts.sub_j,
-                                         verdict.connected_complement,
-                                         verdict.strong_complement),
-        },
-        "components": [
-            [algebra.labels[v] for v in group] for group in components
-        ],
-        "weak_division": weak_division_json(algebra, table, facts.division,
-                                            facts.violations),
-        "minimality": {
-            "minimal": verdict.minimal,
-            "strongly_connected_kernel": verdict.strong_kernel,
-            "strongly_connected_complement": verdict.strong_complement,
-            "weak_division": verdict.weak_division,
-            "connected_kernel": verdict.connected_kernel,
-            "connected_complement": verdict.connected_complement,
-            "oracle": verdict.oracle_minimal,
-        },
-        "oracle_ideals": oracle_ideals,
-        "flags": flags,
-    }
+    return _Analysis(algebra, split, oracle=oracle, bound=bound).report()

@@ -10,13 +10,15 @@ from pathlib import Path
 
 import pytest
 
+from leibniz_graphs import algebra as algebra_module
+from leibniz_graphs import graphs as graphs_module
+from leibniz_graphs import structure as structure_module
 from leibniz_graphs.cli import (
     EXIT_FALSE,
     EXIT_INPUT,
     EXIT_OK,
     main,
 )
-from leibniz_graphs.structure import ENUM_BOUND_ENV
 
 
 def _run(capsys, *argv):
@@ -129,6 +131,12 @@ def test_ideal_command(five_dim_doc, capsys):
 
     code, _out, err = _run(capsys, "ideal", five_dim_doc, "--coords", "1,2")
     assert code == EXIT_INPUT and "5 entries" in err
+
+    # a vector that starts with a minus sign is a value, not an option
+    attached = _run(capsys, "ideal", five_dim_doc, "--coords=-1,0,1,-1,0")
+    assert attached[0] == EXIT_OK
+    assert _run(capsys, "ideal", five_dim_doc,
+                "--coords", "-1,0,1,-1,0") == attached
     code, _out, err = _run(capsys, "ideal", five_dim_doc, "--generator", "z")
     assert code == EXIT_INPUT
 
@@ -147,7 +155,7 @@ def test_minimal_exit_codes(five_dim_doc, filiform_doc, capsys):
     assert "kernel subgraph weak symmetry fails at edge (e_2, e_3)" in out
 
 
-def test_minimal_oracle_controls(five_dim_doc, capsys, monkeypatch):
+def test_minimal_oracle_controls(five_dim_doc, capsys):
     code, out, _err = _run(capsys, "minimal", five_dim_doc, "--oracle", "off")
     assert code == EXIT_OK
     assert json.loads(out)["minimality"]["oracle"] is None
@@ -159,11 +167,6 @@ def test_minimal_oracle_controls(five_dim_doc, capsys, monkeypatch):
 
     # auto mode quietly skips it instead
     code, out, _err = _run(capsys, "minimal", five_dim_doc, "--bound", "3")
-    assert code == EXIT_OK
-    assert json.loads(out)["minimality"]["oracle"] is None
-
-    monkeypatch.setenv(ENUM_BOUND_ENV, "3")
-    code, out, _err = _run(capsys, "minimal", five_dim_doc)
     assert code == EXIT_OK
     assert json.loads(out)["minimality"]["oracle"] is None
 
@@ -233,6 +236,74 @@ def test_equiv_automorphism_without_bijection(five_dim_doc, tmp_path, capsys):
     doc = json.loads(out)
     assert doc["automorphism"] is True
     assert doc["basis_bijection"] is None
+
+
+def _record_first_arguments(monkeypatch, module, name) -> list:
+    """The first argument of every call of module.name, through every
+    package module that binds the function; each is kept alive, so
+    distinct objects have distinct ids."""
+    original = getattr(module, name)
+    seen = []
+
+    def recorded(first, *args, **kwargs):
+        seen.append(first)
+        return original(first, *args, **kwargs)
+
+    for module_name, bound in list(sys.modules.items()):
+        if (module_name.partition(".")[0] == "leibniz_graphs"
+                and getattr(bound, name, None) is original):
+            monkeypatch.setattr(bound, name, recorded)
+    return seen
+
+
+def _distinct(objects) -> bool:
+    return len({id(x) for x in objects}) == len(objects)
+
+
+@pytest.mark.parametrize("argv, documents", [
+    pytest.param(["minimal", "doc.json"], 1, id="minimal"),
+    pytest.param(["minimal", "doc.json", "--format", "text",
+                  "--oracle", "off"], 1, id="minimal-text-oracle-off"),
+    pytest.param(["weakdiv", "doc.json"], 1, id="weakdiv"),
+    pytest.param(["decompose", "doc.json"], 1, id="decompose"),
+    pytest.param(["equiv", "doc.json", "--map", "swap.json"], 1, id="equiv"),
+    pytest.param(["fuzz", "--seed", "3", "--count", "6", "--dim", "4",
+                  "--prime", "7"], 6, id="fuzz"),
+])
+def test_each_command_computes_each_fact_once(argv, documents, tmp_path,
+                                              monkeypatch, capsys):
+    # five_doubled with the map that swaps its two copies: equiv accepts
+    # it, so it reads the graph and the decomposition too
+    assert _run(capsys, "corpus", "export", "five_doubled",
+                "-o", str(tmp_path / "doc.json"))[0] == EXIT_OK
+    swap = [[1 if i == (j + 5) % 10 else 0 for i in range(10)]
+            for j in range(10)]
+    (tmp_path / "swap.json").write_text(json.dumps({"matrix": swap}),
+                                        encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    tabled = _record_first_arguments(monkeypatch, algebra_module,
+                                     "to_multiplicative")
+    graphed = _record_first_arguments(monkeypatch, graphs_module,
+                                      "build_graph")
+    listed = _record_first_arguments(monkeypatch, structure_module,
+                                     "enumerate_basis_ideals")
+    closed = []
+    real_close = structure_module._GeneratorIdeals._close
+
+    def close(generators, v):
+        closed.append((generators, v))
+        return real_close(generators, v)
+
+    monkeypatch.setattr(structure_module._GeneratorIdeals, "_close", close)
+    code, _out, err = _run(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_FALSE), err
+    # one table per document, and the graph and the ideals at most once
+    assert len(tabled) == documents and _distinct(tabled)
+    for calls in (graphed, listed):
+        assert len(calls) <= documents and _distinct(calls)
+    assert len(graphed) == (argv[0] != "weakdiv") * documents
+    # each generator mask is closed at most once
+    assert len({(id(g), v) for g, v in closed}) == len(closed)
 
 
 def test_input_error_exits(tmp_path, capsys):

@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from leibniz_graphs import algebra as algebra_module
+from leibniz_graphs import graphs as graphs_module
 from leibniz_graphs import scalars as scalars_module
 from leibniz_graphs import structure
 
@@ -41,14 +42,12 @@ from leibniz_graphs.graphs import (
 )
 from leibniz_graphs.scalars import FieldSpec, Subspace, unit_vector
 from leibniz_graphs.structure import (
-    ENUM_BOUND_ENV,
     analysis_report,
     check_minimality,
     check_weak_division,
     cross_validate,
     decompose,
     enumerate_basis_ideals,
-    enumeration_bound,
     generated_ideal,
     is_ideal,
     restrict_to_indices,
@@ -111,41 +110,25 @@ def test_enumerate_basis_ideals_abelian():
     ]
 
 
-def test_enumeration_bound_guard(monkeypatch):
+def test_enumeration_bound_guard():
     alg, _ = five_dim()
     with pytest.raises(DimensionTooLargeError):
         enumerate_basis_ideals(alg, bound=3)
-    monkeypatch.setenv(ENUM_BOUND_ENV, "3")
-    assert enumeration_bound() == 3
-    with pytest.raises(DimensionTooLargeError):
-        enumerate_basis_ideals(alg)
-    monkeypatch.setenv(ENUM_BOUND_ENV, "16")
-    assert enumerate_basis_ideals(alg)[1] == (3, 4)
+    assert enumerate_basis_ideals(alg, bound=5)[1] == (3, 4)
+    # the default bound is 16
+    with pytest.raises(DimensionTooLargeError, match="bound 16"):
+        enumerate_basis_ideals(_abelian(17))
 
 
-def test_analysis_report_reads_the_enumeration_bound_once(monkeypatch):
-    reads = []
-
-    def counted():
-        reads.append(1)
-        return enumeration_bound()
-
-    monkeypatch.setattr(structure, "enumeration_bound", counted)
-    monkeypatch.setenv(ENUM_BOUND_ENV, "5")
+def test_analysis_report_honours_the_enumeration_bound():
     alg, split = five_dim()
     for oracle in (None, True):
-        reads.clear()
-        report = analysis_report(alg, split, oracle=oracle)
+        report = analysis_report(alg, split, oracle=oracle, bound=5)
         assert report["minimality"]["oracle"] is True
-        assert len(reads) == 1
-    monkeypatch.setenv(ENUM_BOUND_ENV, "4")
-    reads.clear()
-    assert analysis_report(alg, split)["minimality"]["oracle"] is None
-    assert len(reads) == 1
-    reads.clear()
-    assert analysis_report(alg, split, bound=5)["oracle_ideals"]
+    assert analysis_report(alg, split, bound=4)["minimality"]["oracle"] is None
+    with pytest.raises(DimensionTooLargeError):
+        analysis_report(alg, split, oracle=True, bound=4)
     assert analysis_report(alg, split, oracle=False)["oracle_ideals"] is None
-    assert reads == []
 
 
 def test_decompose_direct_sum_into_two_parts():
@@ -463,38 +446,73 @@ def _count_calls(monkeypatch, names) -> Counter:
     return calls
 
 
-SHARED = ("enumerate_basis_ideals", "check_weak_division", "build_graph")
+# the functions behind the facts of the analysis, as structure binds them;
+# check_weak_division is a reader of the analysis, which never calls it
+SHARED = ("to_multiplicative", "build_graph", "induced_subgraph",
+          "undirected_components", "is_weakly_symmetric",
+          "enumerate_basis_ideals", "check_weak_division")
+
+
+def _count_facts(monkeypatch) -> Counter:
+    """Count the computations of each derived fact of the analysis."""
+    computed = Counter()
+    for name, fact in vars(structure._Analysis).items():
+        if isinstance(fact, graphs_module._derived):
+            def counted(facts, _name=name, _compute=fact.compute):
+                computed[_name] += 1
+                return _compute(facts)
+
+            monkeypatch.setattr(fact, "compute", counted)
+    return computed
+
+
+def _once(*names) -> Counter:
+    return Counter(dict.fromkeys(names, 1))
+
+
+DECISION_FACTS = ("graph", "sub_k", "sub_j", "weak_division", "ideals",
+                  "verdict")
 
 
 @pytest.mark.parametrize("name", ("five_dim", "five_doubled", "ud_plus_five"))
 def test_analysis_report_computes_each_fact_once(monkeypatch, name):
     alg, split = build_example(name)
+    facts = _count_facts(monkeypatch)
     calls = _count_calls(monkeypatch, SHARED)
-    report = analysis_report(alg, split)
-    assert report["minimality"]["oracle"] is not None
-    assert calls == Counter(dict.fromkeys(SHARED, 1))
-
-    calls.clear()
-    report = analysis_report(alg, split, oracle=False)
-    assert report["oracle_ideals"] is None
-    assert calls == Counter(check_weak_division=1, build_graph=1)
+    for oracle in (None, False):
+        facts.clear()
+        calls.clear()
+        report = analysis_report(alg, split, oracle=oracle)
+        assert (report["oracle_ideals"] is None) == (oracle is False)
+        assert facts == _once("table", "components", "weak_symmetry",
+                              *DECISION_FACTS)
+        # undirected components of the graph and of both part subgraphs
+        assert calls == Counter(to_multiplicative=1, build_graph=1,
+                                induced_subgraph=2, undirected_components=3,
+                                is_weakly_symmetric=2,
+                                enumerate_basis_ideals=int(oracle is None))
 
 
 def test_cross_validate_and_check_minimality_compute_each_fact_once(
         monkeypatch):
     # cross_validate decides weak division on the generator masks that
-    # its reachability check closed, through the function that
-    # check_weak_division wraps
+    # its reachability check closed
     alg, split = build_example("five_doubled")
-    calls = _count_calls(monkeypatch, SHARED + ("_weak_division",))
-    cross_validate(alg, split)
-    assert calls == Counter(enumerate_basis_ideals=1, _weak_division=1,
-                            build_graph=1)
-
-    calls.clear()
     table = to_multiplicative(alg, split)
+    facts = _count_facts(monkeypatch)
+    calls = _count_calls(monkeypatch, SHARED)
+    cross_validate(alg, split)
+    assert facts == _once("table", "weak_symmetry", *DECISION_FACTS)
+    assert calls == Counter(to_multiplicative=1, build_graph=1,
+                            induced_subgraph=2, undirected_components=2,
+                            is_weakly_symmetric=2, enumerate_basis_ideals=1)
+
+    facts.clear()
+    calls.clear()
     check_minimality(alg, table, split)
-    assert calls == Counter(dict.fromkeys(SHARED + ("_weak_division",), 1))
+    assert facts == _once(*DECISION_FACTS)
+    assert calls == Counter(build_graph=1, induced_subgraph=2,
+                            undirected_components=2, enumerate_basis_ideals=1)
 
 
 def test_minimality_routes_must_agree(monkeypatch):
@@ -526,8 +544,8 @@ def test_enumeration_confirms_every_listed_set(monkeypatch):
 
 
 def test_cross_validate_closes_each_generator_once_per_call(monkeypatch):
-    # check_weak_division and the reachability check share one map of
-    # generator masks within a cross_validate call, not across calls
+    # weak division and the reachability check share one map of generator
+    # masks within a cross_validate call, not across calls
     alg, split = build_example("five_doubled")
     closed = Counter()
     real = structure._GeneratorIdeals._close
