@@ -30,7 +30,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = Path("src", "leibniz_graphs")
 MUTANTS = Path(__file__).with_name("mutants.json")
 TIMEOUT_S = 600
 
@@ -59,7 +58,7 @@ def copy_src(directory: Path) -> Path:
 
 
 def apply(src: Path, mutant: dict) -> None:
-    path = src / PACKAGE.relative_to("src") / mutant["file"]
+    path = src / "leibniz_graphs" / mutant["file"]
     text = path.read_text(encoding="utf-8")
     found = text.count(mutant["find"])
     if found != 1:
