@@ -45,7 +45,6 @@ from .scalars import (
     prune,
     to_dense,
     to_sparse,
-    unit_vector,
 )
 
 __all__ = [
@@ -71,8 +70,9 @@ class LeibnizAlgebra:
     By default the constructor verifies the Leibniz identity on all basis
     triples and raises NotLeibnizError on failure.  Pass ``check=False``
     to hold structure constants that are not yet known to satisfy it
-    (validators and generators need this); such an instance reports
-    ``identity_verified == False`` until a full check has run.
+    (rejection sampling and trusted transforms need this); such an
+    instance reports ``identity_verified == False`` until a full check
+    has run.
     """
 
     __slots__ = ("field", "labels", "products", "identity_verified",
@@ -126,9 +126,6 @@ class LeibnizAlgebra:
         except ValueError:
             raise KeyError(f"no basis vector labelled {label!r}") from None
 
-    def unit(self, i: int):
-        return unit_vector(self.field, self.dim, i)
-
     def __eq__(self, other):
         if not isinstance(other, LeibnizAlgebra):
             return NotImplemented
@@ -167,13 +164,6 @@ class LeibnizAlgebra:
                 )
             table[(index[left], index[right])] = {index[out]: c}
         return cls(field, labels, table, check=check)
-
-
-def _mark_verified(algebra: LeibnizAlgebra) -> LeibnizAlgebra:
-    # Internal: used after an explicit full check, or for products derived
-    # from a verified algebra by an identity-preserving construction.
-    algebra.identity_verified = True
-    return algebra
 
 
 def product(algebra: LeibnizAlgebra, x, y):
@@ -362,7 +352,7 @@ def _close(algebra: LeibnizAlgebra, seeds: Iterable[dict]) -> Subspace:
             if len(basis) > rank:
                 queue.append(v)
         if not queue:
-            return Subspace.from_echelon(field, algebra.dim, basis)
+            return Subspace(field, algebra.dim, basis)
         v = queue.pop()
         if len(v) == 1:
             (m,) = v      # unit_brackets(algebra, m), inlined
@@ -479,15 +469,8 @@ class MultiplicativeTable:
     def dim(self) -> int:
         return len(self.labels)
 
-    def as_dict(self) -> dict:
-        return dict(self._lookup)
-
     def get(self, i: int, j: int):
         return self._lookup.get((i, j))
-
-    def to_products(self) -> dict:
-        """The structure constants in ``LeibnizAlgebra.products`` form."""
-        return {pair: {k: coeff} for pair, (k, coeff) in self.entries}
 
 
 def to_multiplicative(algebra: LeibnizAlgebra, split: BasisSplit, *,

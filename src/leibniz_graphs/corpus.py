@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import (
     BasisSplit,
     LeibnizAlgebra,
-    _mark_verified,
     check_leibniz,
     validate_split,
 )
@@ -164,10 +163,9 @@ def direct_sum(a: LeibnizAlgebra, split_a: BasisSplit,
     for (i, j), coords in b.products.items():
         products[(i + na, j + na)] = {k + na: c for k, c in coords.items()}
     kernel = tuple(split_a.kernel) + tuple(k + na for k in split_b.kernel)
-    check = not (a.identity_verified and b.identity_verified)
-    out = LeibnizAlgebra(field, labels, products, check=check)
-    if not check:
-        _mark_verified(out)
+    out = LeibnizAlgebra(field, labels, products, check=not (
+        a.identity_verified and b.identity_verified))
+    out.identity_verified = True  # checked above, or carried by the summands
     return out, BasisSplit.of(n, kernel)
 
 
@@ -195,8 +193,7 @@ def rescale_basis(algebra: LeibnizAlgebra, split: BasisSplit,
     }
     out = LeibnizAlgebra(field, algebra.labels, products,
                          check=not algebra.identity_verified)
-    if algebra.identity_verified:
-        _mark_verified(out)
+    out.identity_verified = True  # checked above, or carried by the input
     return out, split
 
 
@@ -219,8 +216,7 @@ def permute_basis(algebra: LeibnizAlgebra, split: BasisSplit,
     }
     out = LeibnizAlgebra(algebra.field, labels, products,
                          check=not algebra.identity_verified)
-    if algebra.identity_verified:
-        _mark_verified(out)
+    out.identity_verified = True  # checked above, or carried by the input
     kernel = tuple(position[k] for k in split.kernel)
     return out, BasisSplit.of(n, kernel), position
 
@@ -319,19 +315,10 @@ class CorpusEntry:
     name: str
     params: dict
     origin: str
-    build: Callable
     expected: dict = dc_field(default_factory=dict)
 
     def instantiate(self):
-        return self.build()
-
-
-_BUILDERS = {
-    "five_dim": lambda field=FieldSpec.rationals(), **kw: five_dim(field),
-    "filiform": lambda n, field=FieldSpec.rationals(), **kw: filiform(int(n), field),
-    "odd_family": lambda n, field=FieldSpec.rationals(), **kw: odd_family(int(n), field),
-    "ud_component": lambda field=FieldSpec.rationals(), **kw: ud_component(field),
-}
+        return build_example(self.name, self.params)
 
 
 def _ud_plus_five(field: FieldSpec = FieldSpec.rationals()):
@@ -342,20 +329,26 @@ def _five_doubled(field: FieldSpec = FieldSpec.rationals()):
     return direct_sum(*five_dim(field), *five_dim(field))
 
 
-_BUILDERS["ud_plus_five"] = lambda field=FieldSpec.rationals(), **kw: _ud_plus_five(field)
-_BUILDERS["five_doubled"] = lambda field=FieldSpec.rationals(), **kw: _five_doubled(field)
+_BUILDERS = {
+    "five_dim": five_dim,
+    "filiform": filiform,
+    "odd_family": odd_family,
+    "ud_component": ud_component,
+    "ud_plus_five": _ud_plus_five,
+    "five_doubled": _five_doubled,
+}
 
 
 def build_example(name: str, params: Optional[dict] = None):
     """Instantiate a registered example by name; params are builder
-    keyword arguments (e.g. {'n': 7}, {'field': FieldSpec.prime(5)})."""
+    keyword arguments (e.g. {'n': 7}, {'field': FieldSpec.prime(5)}).
+    A missing or unknown parameter raises BadParamsError."""
     if name not in _BUILDERS:
         raise UnknownExampleError(
             f"unknown example {name!r}; known: {sorted(_BUILDERS)}"
         )
-    params = dict(params or {})
     try:
-        return _BUILDERS[name](**params)
+        return _BUILDERS[name](**(params or {}))
     except TypeError as exc:
         raise BadParamsError(f"bad parameters for {name!r}: {exc}") from None
 
@@ -366,43 +359,41 @@ def standard_entries() -> tuple:
     return (
         CorpusEntry(
             "five_dim", {}, "five-dimensional minimal algebra with a "
-            "simple Lie complement part", lambda: five_dim(),
+            "simple Lie complement part",
             {"kernel": ["p", "q"], "edge_count": 14, "components": 1,
              "minimal": True},
         ),
         CorpusEntry(
             "filiform", {"n": 5}, "model filiform algebra, not minimal",
-            lambda: filiform(5),
             {"kernel": ["e_2", "e_3", "e_4", "e_5"], "edge_count": 7,
              "components": 1, "minimal": False},
         ),
         CorpusEntry(
             "odd_family", {"n": 5}, "odd-dimensional minimal family, "
-            "smallest member", lambda: odd_family(5),
+            "smallest member",
             {"kernel": ["x_0", "x_1"], "edge_count": 14, "components": 1,
              "minimal": True},
         ),
         CorpusEntry(
             "odd_family", {"n": 7}, "odd-dimensional minimal family",
-            lambda: odd_family(7),
             {"kernel": ["x_0", "x_1", "x_2", "x_3"], "edge_count": 26,
              "components": 1, "minimal": True},
         ),
         CorpusEntry(
             "ud_component", {}, "finite component of an "
-            "infinite-dimensional algebra", lambda: ud_component(),
+            "infinite-dimensional algebra",
             {"kernel": ["e_0", "e_1"], "edge_count": 3, "components": 1,
              "minimal": False},
         ),
         CorpusEntry(
             "ud_plus_five", {}, "direct sum exercising the component "
-            "decomposition", lambda: _ud_plus_five(),
+            "decomposition",
             {"kernel": ["e_0", "e_1", "p", "q"], "edge_count": 17,
              "components": 2, "minimal": False},
         ),
         CorpusEntry(
             "five_doubled", {}, "two orthogonal copies of the "
-            "five-dimensional algebra", lambda: _five_doubled(),
+            "five-dimensional algebra",
             {"kernel": ["p", "q", "p'", "q'"], "edge_count": 28,
              "components": 2, "minimal": False},
         ),

@@ -29,11 +29,9 @@ from .scalars import (
     as_pairs,
     echelon,
     prune,
-    to_dense,
     to_sparse,
     unit_vector,
 )
-from .structure import Decomposition
 
 __all__ = [
     "LinearMap",
@@ -104,20 +102,11 @@ class LinearMap:
             field, [unit_vector(field, n, images[j]) for j in range(n)]
         )
 
-    def column(self, j: int):
-        return tuple(self.matrix[i][j] for i in range(self.dim))
-
     def _apply_sparse(self, x: dict) -> dict:
         acc: dict = {}
         for j, xj in x.items():
             add_scaled(acc, xj, self._cols[j])
         return prune(self.field, acc)
-
-    def apply(self, x):
-        """Matrix-vector product: the image of a coordinate vector."""
-        if len(x) != self.dim:
-            raise DimensionMismatchError("vector length != map dimension")
-        return to_dense(self.field, self.dim, self._apply_sparse(to_sparse(x)))
 
     def is_invertible(self) -> bool:
         """A monomial matrix (one nonzero entry per row, in distinct
@@ -275,11 +264,11 @@ def induced_graph_isomorphism(graph_a: DiGraph, graph_b: DiGraph,
     return mapped == set(graph_b.edges)
 
 
-def decomposition_equivalence(dec_a: Decomposition, dec_b: Decomposition,
-                              bijection: Mapping) -> bool:
-    """True iff the bijection matches the component parts one-to-one:
-    the image of each part's vertex set is exactly one part of the other
-    decomposition, and every part is hit exactly once."""
+def decomposition_equivalence(dec_a, dec_b, bijection: Mapping) -> bool:
+    """True iff the bijection matches the component parts of two
+    ``structure.Decomposition`` objects one-to-one: the image of each
+    part's vertex set is exactly one part of the other decomposition, and
+    every part is hit exactly once."""
     verts_a = [v for part in dec_a.parts for v in part.vertices]
     verts_b = [v for part in dec_b.parts for v in part.vertices]
     _check_bijection(verts_a, verts_b, bijection)

@@ -135,11 +135,6 @@ class DiGraph:
         Tarjan's search completes them: reverse topological order)."""
         return _tarjan(self)
 
-    def sorted_edges(self) -> list:
-        """The edges sorted by vertex index pair, as a fresh list."""
-        succ = self._successors
-        return [(a, b) for a in self.vertices for b in succ[a]]
-
     def edge_labels(self) -> list:
         """[label_a, label_b] for each edge, in sorted edge order."""
         label, succ = self._label, self._successors
@@ -198,15 +193,6 @@ class ComponentPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "_ids", dict(self.assignment))
-
-    def id_of(self, v: int) -> int:
-        try:
-            return self._ids[v]
-        except KeyError:
-            raise UnknownVertexError(f"vertex {v} not in partition") from None
-
-    def as_dict(self) -> dict:
-        return dict(self._ids)
 
     def classes(self) -> tuple:
         groups: dict = {}

@@ -34,16 +34,14 @@ from .algebra import (
     BasisSplit,
     LeibnizAlgebra,
     MultiplicativeTable,
-    check_leibniz,
     leibniz_kernel,
     to_multiplicative,
     validate_split,
 )
-from .errors import InputDocumentError, InvalidSplitError, NotLeibnizError
+from .errors import InputDocumentError, InvalidSplitError
 from .scalars import FieldSpec
 
 __all__ = [
-    "ALGEBRA_SCHEMA_VERSION",
     "algebra_from_json",
     "algebra_to_json",
     "dumps",
@@ -51,12 +49,10 @@ __all__ = [
     "field_to_json",
     "load_schema",
     "map_from_json",
-    "map_to_json",
     "scalar_from_json",
     "scalar_to_json",
 ]
 
-ALGEBRA_SCHEMA_VERSION = 1
 _SCHEMA_CACHE: dict = {}
 
 
@@ -292,10 +288,7 @@ def algebra_from_json(doc):
             )
         seen[pair] = pos
         products[pair] = {index[entry["out"]]: coeff}
-    algebra = LeibnizAlgebra(field, labels, products, check=False)
-    violations = check_leibniz(algebra)
-    if violations:
-        raise NotLeibnizError(violations)
+    algebra = LeibnizAlgebra(field, labels, products)
     if "kernel" in doc:
         for pos, lab in enumerate(doc["kernel"]):
             if lab not in index:
@@ -318,13 +311,6 @@ def algebra_from_json(doc):
         split = BasisSplit.of(n, members)
     table = to_multiplicative(algebra, split, validate=False)
     return algebra, split, table
-
-
-def map_to_json(matrix_columns) -> dict:
-    """Serialize columns (image vectors) into a map document."""
-    return {
-        "matrix": [[scalar_to_json(c) for c in col] for col in matrix_columns]
-    }
 
 
 def map_from_json(doc, field: FieldSpec, dim: int):

@@ -82,10 +82,6 @@ class FieldSpec:
         return FieldSpec(p)
 
     @property
-    def characteristic(self) -> int:
-        return 0 if self.p is None else self.p
-
-    @property
     def is_rationals(self) -> bool:
         return self.p is None
 
@@ -114,9 +110,6 @@ class FieldSpec:
 
     def add(self, a, b):
         return self.normalise(a + b)
-
-    def sub(self, a, b):
-        return self.normalise(a - b)
 
     def mul(self, a, b):
         return self.normalise(a * b)
@@ -279,19 +272,13 @@ class Subspace:
     order, each row a ``{column: value}`` dict with pivot entry one and
     no entry at any other pivot column.  Dense ``rows`` and ``pivots``
     are derived on access.  Equal spans compare and hash equal however
-    they were built.  The constructor takes dense rows already in RREF.
+    they were built.  The constructor takes an ``echelon`` result and
+    keeps its row dicts, not copies.
     """
 
     __slots__ = ("field", "ambient_dim", "_basis")
 
-    def __init__(self, field: FieldSpec, ambient_dim: int,
-                 rows: Iterable[Vector] = ()):
-        basis = {}
-        for row in rows:
-            sparse = to_sparse(row)
-            if not sparse:
-                raise ValueError("zero row in RREF subspace")
-            basis[min(sparse)] = sparse
+    def __init__(self, field: FieldSpec, ambient_dim: int, basis: dict):
         self.field = field
         self.ambient_dim = ambient_dim
         self._basis = dict(sorted(basis.items()))
@@ -299,24 +286,14 @@ class Subspace:
     @classmethod
     def from_vectors(cls, field: FieldSpec, ambient_dim: int,
                      vectors: Iterable[Vector]) -> "Subspace":
-        return cls.from_echelon(
-            field, ambient_dim,
-            echelon(field, _check_rows(field, vectors, ambient_dim)))
-
-    @classmethod
-    def from_echelon(cls, field: FieldSpec, ambient_dim: int,
-                     basis: dict) -> "Subspace":
-        """The subspace spanned by the rows of an ``echelon`` result; the
-        row dicts are kept, not copied."""
-        span = cls(field, ambient_dim)
-        span._basis = dict(sorted(basis.items()))
-        return span
+        return cls(field, ambient_dim,
+                   echelon(field, _check_rows(field, vectors, ambient_dim)))
 
     @classmethod
     def from_basis_indices(cls, field: FieldSpec, ambient_dim: int,
                            indices: Iterable[int]) -> "Subspace":
         # Unit vectors at distinct indices are already fully reduced.
-        return cls.from_echelon(field, ambient_dim, {
+        return cls(field, ambient_dim, {
             i: _unit_row(field, ambient_dim, i) for i in set(indices)})
 
     @property
@@ -372,11 +349,6 @@ class Subspace:
             row = self._basis.get(w)
             return row is not None and len(row) == 1
         return not _eliminate(self.field, dict(v), self._basis)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatchError("ambient dimensions differ")
-        return all(self.contains_sparse(row) for row in other.sparse_rows())
 
     def basis_members(self) -> tuple:
         """Indices i whose unit vector lies in the subspace, ascending:

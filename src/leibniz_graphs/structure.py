@@ -120,9 +120,6 @@ class Decomposition:
     def count(self) -> int:
         return len(self.parts)
 
-    def vertex_sets(self) -> tuple:
-        return tuple(p.vertices for p in self.parts)
-
 
 def decompose(algebra: LeibnizAlgebra, table: MultiplicativeTable,
               split: BasisSplit, graph: Optional[DiGraph] = None

@@ -113,9 +113,7 @@ def test_criterion_02_alternate_basis_products_and_edge_count():
         table, alt_graph = _table_graph(alt, alt_split)
 
         def entry(left, right):
-            k, c = table.as_dict()[
-                (labels.index(left), labels.index(right))
-            ]
+            k, c = table.get(labels.index(left), labels.index(right))
             return labels[k], c
 
         two, one = Q.scalar(2), Q.scalar(1)
@@ -208,11 +206,13 @@ def test_criterion_05_reachability_equals_ideal_closure():
                 sub = induced_subgraph(graph, part, split)
                 for v in sub.vertices:
                     members = set(reachable_from(sub, v))
-                    ideal = generated_ideal(alg, alg.unit(v))
+                    ideal = generated_ideal(
+                        alg, unit_vector(alg.field, alg.dim, v))
                     for w in sub.vertices:
                         pairs += 1
                         in_graph = w in members
-                        in_ideal = ideal.contains(alg.unit(w))
+                        in_ideal = ideal.contains(
+                            unit_vector(alg.field, alg.dim, w))
                         mismatches += in_graph != in_ideal
         assert mismatches == 0 and pairs > 0
 
@@ -280,10 +280,11 @@ def test_criterion_08_direct_sum_decomposition():
         assert [part.dim for part in dec.parts] == [3, 5]
         # exhaustive cross-part orthogonality, checked here independently
         first, second = dec.parts
+        unit = [unit_vector(alg.field, alg.dim, v) for v in range(alg.dim)]
         for i in first.vertices:
             for j in second.vertices:
-                assert vec_is_zero(bracket(alg, alg.unit(i), alg.unit(j)))
-                assert vec_is_zero(bracket(alg, alg.unit(j), alg.unit(i)))
+                assert vec_is_zero(bracket(alg, unit[i], unit[j]))
+                assert vec_is_zero(bracket(alg, unit[j], unit[i]))
         # each part re-validates as a Leibniz algebra with a
         # multiplicative basis and the inherited kernel split
         for part in dec.parts:

@@ -102,6 +102,16 @@ def test_build_example_forwards_params():
     assert alg.field == F5
 
 
+def test_build_example_rejects_unknown_params():
+    # a parameter the builder does not take is an error, not ignored
+    with pytest.raises(BadParamsError, match="'n'"):
+        build_example("five_dim", {"n": 7})
+    with pytest.raises(BadParamsError, match="'bogus'"):
+        build_example("ud_plus_five", {"bogus": 1})
+    with pytest.raises(BadParamsError):
+        build_example("odd_family", {"n": 7, "m": 3})
+
+
 def test_direct_sum_is_a_disjoint_union():
     a, a_split = five_dim()
     b, b_split = five_dim()

@@ -44,12 +44,13 @@ from leibniz_graphs.corpus import (
 )
 from leibniz_graphs.equivalence import LinearMap, change_basis, is_automorphism
 from leibniz_graphs.errors import SingularMapError
-from leibniz_graphs.scalars import FieldSpec, Subspace
+from leibniz_graphs.scalars import FieldSpec, Subspace, unit_vector
 from leibniz_graphs.structure import (
     _GeneratorIdeals,
     enumerate_basis_ideals,
     is_ideal,
 )
+from vectors import mat_mul
 
 Q = FieldSpec.rationals()
 BIG = FieldSpec.prime(998244353)
@@ -108,7 +109,7 @@ def _assert_routes_agree(alg, rng):
 
 
 INSTANCES = [
-    pytest.param(entry.build, id=f"{entry.name}{entry.params or ''}")
+    pytest.param(entry.instantiate, id=f"{entry.name}{entry.params or ''}")
     for entry in standard_entries()
 ] + [
     pytest.param(lambda: odd_family(15), id="odd_family(15)/Q"),
@@ -170,7 +171,7 @@ def _assert_unit_closures_agree(alg, tensor) -> int:
     field, n = alg.field, alg.dim
     mixed = 0
     for i in range(n):
-        got = ideal_closure(alg, [alg.unit(i)])
+        got = ideal_closure(alg, [unit_vector(field, n, i)])
         assert got.rows == ref.ideal_closure(
             field, tensor, [ref.unit_vector(field, n, i)]).value_rows(), i
         mixed += len(got.basis_members()) < got.rank
@@ -388,7 +389,7 @@ def _assert_listing_complete(alg):
 @pytest.mark.parametrize("alg", [
     pytest.param(alg, id=f"{entry.name}{entry.params or ''}")
     for entry in standard_entries()
-    for alg, _split in [entry.build()]
+    for alg, _split in [entry.instantiate()]
     if alg.dim <= LISTING_DIM
 ])
 def test_basis_ideals_of_the_corpus_match_brute_force(alg):
@@ -452,13 +453,12 @@ def _nonzero_entry(field, rng):
 
 
 def _columns(f: LinearMap) -> list:
-    return [f.column(j) for j in range(f.dim)]
+    return list(zip(*f.matrix))
 
 
 def _compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """The map f after g."""
-    return LinearMap.from_columns(
-        f.field, [f.apply(col) for col in _columns(g)])
+    return LinearMap(f.field, mat_mul(f.field, f.matrix, g.matrix))
 
 
 def _candidate_maps(alg, swap, rng):

@@ -36,6 +36,7 @@ from leibniz_graphs.errors import (
 from leibniz_graphs.graphs import build_graph, induced_subgraph
 from leibniz_graphs.scalars import FieldSpec, unit_vector
 from leibniz_graphs.structure import decompose
+from vectors import mat_mul
 
 Q = FieldSpec.rationals()
 
@@ -84,10 +85,7 @@ def test_linear_map_validation_and_inverse():
         LinearMap(Q, ((_q(0), _q(0)), (_q(0), _q(0)))).inverse()
     inv = ALT_BASIS.inverse()
     ident = LinearMap.identity(Q, 5)
-    composed = LinearMap.from_columns(
-        Q, [inv.apply(ALT_BASIS.column(j)) for j in range(5)]
-    )
-    assert composed == ident
+    assert LinearMap(Q, mat_mul(Q, inv.matrix, ALT_BASIS.matrix)) == ident
     assert ALT_BASIS.is_invertible()
 
 
@@ -135,7 +133,7 @@ def test_change_basis_to_the_alternate_basis():
     assert validate_split(alt, alt_split)
 
     table = to_multiplicative(alt, alt_split)
-    got = table.as_dict()
+    got = dict(table.entries)
     want = {
         (0, 1): (2, -2), (1, 0): (2, 2),
         (0, 2): (1, 2), (2, 0): (1, -2),

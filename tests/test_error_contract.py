@@ -225,6 +225,8 @@ _RAW_CASES = [
     ("equiv_map_not_utf8", ["equiv", "doc.json", "--map", "map.json"],
      {"doc.json": json.dumps(BASE),
       "map.json": b"\xff" + json.dumps(IDENTITY_MAP).encode()}),
+    ("corpus_export_unknown_param",
+     ["corpus", "export", "five_dim", "--n", "7"], {}),
 ]
 
 

@@ -108,7 +108,7 @@ def test_five_dim_strong_components_split_by_part():
     graph = _graph_of(alg, split)
     part = strong_components(graph)
     assert part.classes() == ((0, 1, 2), (3, 4))
-    assert part.id_of(4) == 3
+    assert dict(part.assignment)[4] == 3
     assert not is_strongly_connected(graph)  # no edge back out of the kernel
     flag, witness = is_weakly_symmetric(graph)
     assert not flag and witness == (0, 3)
@@ -120,9 +120,7 @@ def test_undirected_components_of_a_direct_sum():
     part = undirected_components(graph)
     assert part.count == 2
     assert part.classes() == ((0, 1, 2), (3, 4, 5, 6, 7))
-    assert part.as_dict()[6] == 3
-    with pytest.raises(UnknownVertexError):
-        part.id_of(99)
+    assert dict(part.assignment)[6] == 3
 
 
 def test_strong_connectivity_conventions():
@@ -139,7 +137,7 @@ def test_built_graphs_equal_their_validated_copies():
     # build_graph and induced_subgraph skip the constructor's checks; what
     # they build must pass them and compare equal to the checked graph
     for entry in standard_entries():
-        alg, split = entry.build()
+        alg, split = entry.instantiate()
         graph = _graph_of(alg, split)
         for built in (graph, induced_subgraph(graph, "kernel", split),
                       induced_subgraph(graph, "complement", split)):
@@ -286,11 +284,11 @@ def test_strong_components_match_pairwise_reachability():
     rng = random.Random(2718)
     for _ in range(120):
         graph = _random_digraph(rng)
-        part = strong_components(graph)
+        ids = dict(strong_components(graph).assignment)
         reach = {v: set(reachable_from(graph, v)) for v in graph.vertices}
         for a in graph.vertices:
             for b in graph.vertices:
-                same = part.id_of(a) == part.id_of(b)
+                same = ids[a] == ids[b]
                 mutual = b in reach[a] and a in reach[b]
                 assert same == mutual
 
@@ -298,7 +296,6 @@ def test_strong_components_match_pairwise_reachability():
 def _observations(graph, kernel=()) -> tuple:
     """Everything the predicates and emitters say about a graph."""
     return (
-        graph.sorted_edges(),
         graph.edge_labels(),
         strong_components(graph),
         undirected_components(graph),
@@ -331,19 +328,6 @@ def test_strong_components_are_computed_once_per_graph(monkeypatch):
     assert again == graph
     assert strong_components(again) == first
     assert len(calls) == 2
-
-
-def test_mutating_sorted_edges_leaves_the_graph_unchanged():
-    alg, split = five_dim()
-    graph = _graph_of(alg, split)
-    before = _observations(graph, split.kernel)
-    edges = graph.sorted_edges()
-    edges.reverse()
-    edges.append((9, 9))
-    edges[0] = (4, 0)
-    assert graph.sorted_edges() == sorted(FIVE_DIM_EDGES)
-    assert _observations(graph, split.kernel) == before
-    assert before == _observations(_graph_of(alg, split), split.kernel)
 
 
 def test_equality_and_hash_ignore_filled_caches():
@@ -386,7 +370,8 @@ def test_induced_subgraphs_with_gaps_and_the_empty_part():
     assert kernel.labels == ("v1", "v3", "v4", "v7")
     assert kernel.edges == {(1, 3), (3, 1), (3, 4), (4, 7), (7, 7)}
     assert kernel == DiGraph(kernel.vertices, kernel.labels, kernel.edges)
-    assert kernel.sorted_edges() == [(1, 3), (3, 1), (3, 4), (4, 7), (7, 7)]
+    assert kernel.edge_labels() == [["v1", "v3"], ["v3", "v1"], ["v3", "v4"],
+                                    ["v4", "v7"], ["v7", "v7"]]
     strong = strong_components(kernel)
     assert strong.assignment == ((1, 1), (3, 1), (4, 4), (7, 7))
     assert undirected_components(kernel).assignment == (
@@ -434,14 +419,14 @@ def test_strong_groups_come_in_reverse_topological_order():
     for _ in range(200):
         graph = _random_digraph(rng)
         partition, groups = graph._strong
+        ids = dict(partition.assignment)
         assert partition is strong_components(graph)
         assert sorted(v for group in groups for v in group) == list(
             graph.vertices)
         position = {v: t for t, group in enumerate(groups) for v in group}
         for a, b in graph.edges:
             assert position[b] <= position[a]
-            assert (position[a] == position[b]) == (
-                partition.id_of(a) == partition.id_of(b))
+            assert (position[a] == position[b]) == (ids[a] == ids[b])
 
 
 def _permuted_parts(build, n, seed):

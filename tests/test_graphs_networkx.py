@@ -70,7 +70,7 @@ def assert_matches_networkx(graph: DiGraph, ref: nx.DiGraph,
     assert list(strong.classes()) == _classes(
         nx.strongly_connected_components(ref))
     for cls in strong.classes():
-        assert all(strong.id_of(v) == cls[0] for v in cls)
+        assert all(dict(strong.assignment)[v] == cls[0] for v in cls)
     assert list(undirected_components(graph).classes()) == _classes(
         nx.weakly_connected_components(ref))
 

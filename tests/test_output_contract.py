@@ -42,7 +42,7 @@ def _documents():
     for seed, entry in enumerate(standard_entries()):
         name = entry.name + "".join(f"-{k}{v}"
                                     for k, v in entry.params.items())
-        algebra, split = entry.build()
+        algebra, split = entry.instantiate()
         yield name, algebra_to_json(algebra, split)
         order = list(range(algebra.dim))
         random.Random(seed).shuffle(order)

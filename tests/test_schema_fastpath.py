@@ -32,7 +32,7 @@ from leibniz_graphs.jsonio import (
     algebra_to_json,
     dumps,
     load_schema,
-    map_to_json,
+    scalar_to_json,
 )
 from leibniz_graphs.scalars import FieldSpec
 
@@ -364,7 +364,7 @@ def test_every_emitted_document_passes_the_shape_check():
         doc = json.loads(dumps(algebra_to_json(algebra, split)))
         assert _judge(doc, "algebra") == (True, True), doc
         dim = algebra.dim
-        identity = [[algebra.field.scalar(int(i == j)) for i in range(dim)]
-                    for j in range(dim)]
-        assert _judge(json.loads(dumps(map_to_json(identity))), "map") == \
-            (True, True)
+        identity = {"matrix": [
+            [scalar_to_json(algebra.field.scalar(int(i == j)))
+             for i in range(dim)] for j in range(dim)]}
+        assert _judge(json.loads(dumps(identity)), "map") == (True, True)

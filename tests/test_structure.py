@@ -136,7 +136,8 @@ def test_decompose_direct_sum_into_two_parts():
     table, graph = _table_graph(alg, split)
     dec = decompose(alg, table, split, graph)
     assert dec.count == 2
-    assert dec.vertex_sets() == ((0, 1, 2), (3, 4, 5, 6, 7))
+    assert [part.vertices for part in dec.parts] == [(0, 1, 2),
+                                                     (3, 4, 5, 6, 7)]
     first, second = dec.parts
     assert first.component_id == 0 and second.component_id == 3
     assert first.labels == ("u_d", "e_0", "e_1")
@@ -250,7 +251,7 @@ def test_generator_ideals_close_without_field_arithmetic(build, n,
 
     monkeypatch.setattr(algebra_module, "echelon", counting_echelon)
     for v in range(alg.dim):
-        ideal = generated_ideal(alg, alg.unit(v))
+        ideal = generated_ideal(alg, unit_vector(alg.field, alg.dim, v))
         assert v in ideal.basis_members()
         assert len(ideal.basis_members()) == ideal.rank
     assert calls == []
@@ -380,7 +381,7 @@ def test_ideal_absorption_consequences():
 
 def test_cross_validate_standard_corpus():
     for entry in standard_entries():
-        alg, split = entry.build()
+        alg, split = entry.instantiate()
         counters = cross_validate(alg, split)
         k, j = len(split.kernel), len(split.complement)
         assert counters["reachability_pairs"] == k * k + j * j
@@ -598,7 +599,7 @@ def test_generator_masks_match_the_unreused_closure(build, n, seed):
 
 @pytest.mark.parametrize("entry", standard_entries(), ids=lambda e: e.name)
 def test_generator_masks_on_the_corpus(entry):
-    _assert_masks_match_unit_ideals(entry.build()[0])
+    _assert_masks_match_unit_ideals(entry.instantiate()[0])
 
 
 def test_generator_masks_on_a_direct_sum_closed_back_to_front():

@@ -27,6 +27,13 @@ def vec_is_zero(x) -> bool:
     return not any(x)
 
 
+def mat_mul(field, a, b) -> tuple:
+    """The product of two square matrices given as tuples of rows."""
+    columns = list(zip(*b))
+    return tuple(tuple(field.normalise(sum(x * y for x, y in zip(row, col)))
+                       for col in columns) for row in a)
+
+
 def with_vectors(span: Subspace, vectors) -> Subspace:
     """The span of a subspace's rows together with more vectors."""
     return Subspace.from_vectors(span.field, span.ambient_dim,
