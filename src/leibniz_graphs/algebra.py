@@ -73,10 +73,15 @@ class LeibnizAlgebra:
     (rejection sampling and trusted transforms need this); such an
     instance reports ``identity_verified == False`` until a full check
     has run.
+
+    An instance holds the last analysis that one of the structure readers
+    derived of it (``structure._analysis_of``), so that readers called on
+    one algebra share its facts; the analysis refers back to the algebra
+    weakly, and reference counting frees it with the algebra.
     """
 
     __slots__ = ("field", "labels", "products", "identity_verified",
-                 "_left", "_right")
+                 "_left", "_right", "_analysis", "__weakref__")
 
     def __init__(self, field: FieldSpec, labels: Sequence[str],
                  products: Mapping, *, check: bool = True):
@@ -109,6 +114,7 @@ class LeibnizAlgebra:
         # nonzero products only
         self._left = tuple(left)
         self._right = tuple(right)
+        self._analysis = None
         self.identity_verified = False
         if check:
             violations = check_leibniz(self)
@@ -199,13 +205,6 @@ def basis_brackets(algebra: LeibnizAlgebra, w: dict):
         v = prune(field, acc)
         if v:
             yield v
-
-
-def unit_brackets(algebra: LeibnizAlgebra, m: int):
-    """Every nonzero [v_m, v_i] and [v_i, v_m], as the stored product
-    coordinates; these span the brackets of v_m with the whole algebra.
-    Nothing is computed: the row and column indexes hold them."""
-    return chain(algebra._left[m].values(), algebra._right[m].values())
 
 
 def check_leibniz(algebra: LeibnizAlgebra, *, stop_early: bool = False):
@@ -323,10 +322,11 @@ def _close(algebra: LeibnizAlgebra, seeds: Iterable[dict]) -> Subspace:
     and a monomial c * v_w adds the row {w: one}; the first vector that
     would add a row with two entries goes through ``echelon``, and so
     does every vector after it.  And the brackets of a monomial c * v_m
-    span what the brackets of v_m span, which the product indexes hold
-    (``unit_brackets``).  On a multiplicative basis a closure of basis
-    vectors takes only shortcuts.  The reduced echelon form of a span is
-    unique, so they do not change the result.
+    span what the brackets of v_m span: every nonzero [v_m, v_i] and
+    [v_i, v_m], which the row indexes ``_left[m]`` and ``_right[m]``
+    hold as stored product coordinates.  On a multiplicative basis a
+    closure of basis vectors takes only shortcuts.  The reduced echelon
+    form of a span is unique, so they do not change the result.
     """
     field = algebra.field
     one = field.one
@@ -355,7 +355,7 @@ def _close(algebra: LeibnizAlgebra, seeds: Iterable[dict]) -> Subspace:
             return Subspace(field, algebra.dim, basis)
         v = queue.pop()
         if len(v) == 1:
-            (m,) = v      # unit_brackets(algebra, m), inlined
+            (m,) = v      # the stored brackets of v_m
             vectors = chain(left[m].values(), right[m].values())
         else:
             vectors = basis_brackets(algebra, v)

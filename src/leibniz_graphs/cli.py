@@ -85,9 +85,12 @@ def _read_json(path: str) -> dict:
         )
 
 
-def _load(path: str, **options) -> _Analysis:
-    """The one analysis of a document that a command reads."""
-    return _Analysis(*algebra_from_json(_read_json(path)), **options)
+def _load(path: str, **options) -> tuple:
+    """The algebra of a document and the one analysis of it that a command
+    reads.  The analysis refers to its algebra weakly, so a command keeps
+    the algebra while it reads the analysis."""
+    algebra, split, table = algebra_from_json(_read_json(path))
+    return algebra, _Analysis(algebra, split, table, **options)
 
 
 def _emit(text: str, out_path: Optional[str] = None) -> None:
@@ -121,8 +124,7 @@ def _render_graph(graph, split, fmt: str, out: Optional[str]) -> int:
 
 
 def _cmd_validate(args) -> int:
-    facts = _load(args.input)
-    algebra = facts.algebra
+    algebra, facts = _load(args.input)
     _emit(dumps({
         "ok": True,
         "field": field_to_json(algebra.field),
@@ -134,18 +136,19 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    facts = _load(args.input)
+    _algebra, facts = _load(args.input)
     return _render_graph(facts.graph, facts.split, args.format, args.output)
 
 
 def _cmd_subgraph(args) -> int:
-    facts = _load(args.input)
+    _algebra, facts = _load(args.input)
     graph = facts.sub_k if args.part == "kernel" else facts.sub_j
     return _render_graph(graph, facts.split, args.format, args.output)
 
 
 def _cmd_decompose(args) -> int:
-    dec = _load(args.input).decomposition
+    _algebra, facts = _load(args.input)
+    dec = facts.decomposition
     if args.format == "text":
         lines = [
             f"part {idx}: dim {part.dim}: {' '.join(part.labels)}"
@@ -163,7 +166,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_ideal(args) -> int:
-    algebra = _load(args.input).algebra
+    algebra, _facts = _load(args.input)
     if args.generator is not None:
         try:
             idx = algebra.index_of(args.generator)
@@ -201,7 +204,8 @@ def _cmd_ideal(args) -> int:
 
 def _cmd_minimal(args) -> int:
     oracle = {"auto": None, "on": True, "off": False}[args.oracle]
-    report = _load(args.input, oracle=oracle, bound=args.bound).report()
+    _algebra, facts = _load(args.input, oracle=oracle, bound=args.bound)
+    report = facts.report()
     minimality = report["minimality"]
     if args.format == "text":
         lines = [f"minimal: {minimality['minimal']}"]
@@ -223,16 +227,15 @@ def _cmd_minimal(args) -> int:
 
 
 def _cmd_weakdiv(args) -> int:
-    facts = _load(args.input)
+    algebra, facts = _load(args.input)
     holds, violations = facts.weak_division
-    _emit(dumps(weak_division_json(facts.algebra, facts.table, holds,
+    _emit(dumps(weak_division_json(algebra, facts.table, holds,
                                    violations)), args.output)
     return EXIT_OK if holds else EXIT_FALSE
 
 
 def _cmd_equiv(args) -> int:
-    facts = _load(args.input)
-    algebra = facts.algebra
+    algebra, facts = _load(args.input)
     columns = map_from_json(_read_json(args.map), algebra.field, algebra.dim)
     f = LinearMap.from_columns(algebra.field, columns)
     ok, witness = is_automorphism(algebra, f)

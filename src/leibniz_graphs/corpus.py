@@ -10,6 +10,7 @@ exclusions fall out of its coefficients rather than a hand-written list.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
@@ -339,18 +340,38 @@ _BUILDERS = {
 }
 
 
+# the type of each parameter a builder takes; a bool is not an int here
+_PARAM_TYPES = {"n": int, "field": FieldSpec}
+
+
 def build_example(name: str, params: Optional[dict] = None):
     """Instantiate a registered example by name; params are builder
     keyword arguments (e.g. {'n': 7}, {'field': FieldSpec.prime(5)}).
-    A missing or unknown parameter raises BadParamsError."""
+    A missing or unknown parameter, an ``n`` that is not an int and a
+    ``field`` that is not a FieldSpec raise BadParamsError, before the
+    builder runs."""
     if name not in _BUILDERS:
         raise UnknownExampleError(
             f"unknown example {name!r}; known: {sorted(_BUILDERS)}"
         )
-    try:
-        return _BUILDERS[name](**(params or {}))
-    except TypeError as exc:
-        raise BadParamsError(f"bad parameters for {name!r}: {exc}") from None
+    builder = _BUILDERS[name]
+    params = params or {}
+    takes = inspect.signature(builder).parameters
+    for key, value in params.items():
+        if key not in takes:
+            problem = f"{name}() got an unexpected keyword argument {key!r}"
+        elif (not isinstance(value, _PARAM_TYPES[key])
+              or isinstance(value, bool)):
+            problem = (f"{key} must be {_PARAM_TYPES[key].__name__}, "
+                       f"got {value!r}")
+        else:
+            continue
+        raise BadParamsError(f"bad parameters for {name!r}: {problem}")
+    for key, spec in takes.items():
+        if spec.default is spec.empty and key not in params:
+            raise BadParamsError(f"bad parameters for {name!r}: {name}() "
+                                 f"missing required argument {key!r}")
+    return builder(**params)
 
 
 def standard_entries() -> tuple:

@@ -16,7 +16,9 @@ complement part J:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .algebra import (
@@ -26,7 +28,6 @@ from .algebra import (
     basis_brackets,
     ideal_closure,
     to_multiplicative,
-    unit_brackets,
 )
 from .errors import (
     DimensionMismatchError,
@@ -86,7 +87,7 @@ def is_ideal(algebra: LeibnizAlgebra, subspace: Subspace) -> bool:
 def _spans_ideal(algebra: LeibnizAlgebra, members: set) -> bool:
     """Whether the span of the basis vectors in ``members`` is an ideal:
     every product with a factor among them has its support among them."""
-    left, right = algebra._left, algebra._right   # as unit_brackets reads
+    left, right = algebra._left, algebra._right   # the products by factor
     return all(coords.keys() <= members
                for m in members
                for row in (left[m], right[m])
@@ -132,10 +133,7 @@ def decompose(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     failure of either check contradicts the component theorem and raises
     InternalInvariantViolation.
     """
-    facts = _Analysis(algebra, split, table)
-    if graph is not None:
-        facts.graph = graph
-    return facts.decomposition
+    return _analysis_of(algebra, split, table, graph).decomposition
 
 
 def restrict_to_indices(algebra: LeibnizAlgebra, split: BasisSplit,
@@ -170,8 +168,8 @@ class _GeneratorIdeals:
     On a multiplicative basis each bracket of a basis vector with a basis
     vector is a multiple of one basis vector, so the ideal of v_v is the
     span of the basis vectors reached from v by repeatedly passing from a
-    factor to the output coordinate of its products (the rows that
-    ``unit_brackets`` reads).  If w lies in I(v), then I(w) lies in I(v):
+    factor to the output coordinate of its products (the algebra's row
+    indexes ``_left`` and ``_right``).  If w lies in I(v), then I(w) lies in I(v):
     a closure that lands on a w whose mask is stored ORs that mask in and
     does not walk past w.  Generators are closed in the post-order of a
     depth-first search over the same bracket outputs, so each output is
@@ -180,11 +178,13 @@ class _GeneratorIdeals:
     its closure is complete.
 
     The basis must be multiplicative, as a MultiplicativeTable of the
-    algebra proves; the analysis that holds the masks holds one.
+    algebra proves; the analysis that holds the masks holds one.  The
+    algebra's row indexes are kept, not the algebra, so that the analysis
+    an algebra holds does not refer back to it strongly.
     """
 
     def __init__(self, algebra: LeibnizAlgebra):
-        self.algebra = algebra
+        self.left, self.right = algebra._left, algebra._right
         self.masks: dict = {}
 
     def mask(self, v: int) -> int:
@@ -193,7 +193,9 @@ class _GeneratorIdeals:
         return self.masks[v]
 
     def _outputs(self, m: int):
-        return (w for coords in unit_brackets(self.algebra, m)
+        # every output coordinate of [v_m, v_i] and [v_i, v_m]
+        return (w for coords in chain(self.left[m].values(),
+                                      self.right[m].values())
                 for w in coords)
 
     def _close_in_post_order(self, root: int) -> None:
@@ -241,7 +243,8 @@ def check_weak_division(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     The ideal of each v_k is closed once, as a bitmask of basis vectors
     (``_GeneratorIdeals``), and each membership is one bit test.
     """
-    return _Analysis(algebra, split, table).weak_division
+    holds, violations = _analysis_of(algebra, split, table).weak_division
+    return holds, list(violations)   # the held list stays unchanged
 
 
 def enumerate_basis_ideals(algebra: LeibnizAlgebra,
@@ -330,25 +333,45 @@ class MinimalityVerdict:
                 and self.connected_complement)
 
 
+def _settings(dim: int, oracle: Optional[bool],
+              bound: Optional[int]) -> tuple:
+    """check_minimality's (oracle, bound), with their defaults resolved."""
+    bound = DEFAULT_ENUM_BOUND if bound is None else bound
+    return (dim <= bound if oracle is None else oracle), bound
+
+
 class _Analysis:
     """Every fact that the decisions and reports read about one algebra
-    and basis split, each derived on first read and kept: one object per
-    request computes each fact at most once.  ``table`` is the split's
-    multiplicative table when the caller holds it already; ``oracle`` and
-    ``bound`` are check_minimality's.  The generator masks, once closed,
-    serve both weak division and the reachability comparison.
+    and basis split, each derived on first read and kept: every reader of
+    one analysis computes each fact at most once.  The library's readers
+    share the analysis their algebra holds (``_analysis_of``); a CLI
+    command builds one per document.  ``table`` and ``graph`` are the
+    split's multiplicative table and digraph when the caller holds them
+    already; ``oracle`` and ``bound`` are check_minimality's.  The
+    generator masks, once closed, serve both weak division and the
+    reachability comparison.
+
+    The algebra is referred to weakly: the algebra holds the analysis, and
+    a strong reference back would leave the pair to the cyclic garbage
+    collector.  Whoever reads an analysis keeps its algebra alive.
     """
 
     def __init__(self, algebra: LeibnizAlgebra, split: BasisSplit,
                  table: Optional[MultiplicativeTable] = None,
+                 graph: Optional[DiGraph] = None,
                  oracle: Optional[bool] = None, bound: Optional[int] = None):
-        self.algebra = algebra
+        self._algebra = weakref.ref(algebra)
         self.split = split
-        self.bound = DEFAULT_ENUM_BOUND if bound is None else bound
-        self.oracle = algebra.dim <= self.bound if oracle is None else oracle
+        self.oracle, self.bound = _settings(algebra.dim, oracle, bound)
         self.generators = _GeneratorIdeals(algebra)
         if table is not None:
             self.table = table  # where _derived would store it
+        if graph is not None:
+            self.graph = graph
+
+    @property
+    def algebra(self) -> LeibnizAlgebra:
+        return self._algebra()
 
     @_derived
     def table(self) -> MultiplicativeTable:
@@ -566,6 +589,37 @@ class _Analysis:
         }
 
 
+def _analysis_of(algebra: LeibnizAlgebra, split: BasisSplit,
+                 table: Optional[MultiplicativeTable] = None,
+                 graph: Optional[DiGraph] = None,
+                 oracle: Optional[bool] = None,
+                 bound: Optional[int] = None) -> _Analysis:
+    """The analysis that the library's readers answer from.
+
+    The algebra holds the last analysis a reader derived of it, and that
+    one answers when the split is equal, the resolved oracle and bound are
+    equal, and each table or graph the caller passes is the one it derived
+    or equal to it.  Otherwise a new analysis, seeded with the caller's
+    table and graph, is built and held in its place.
+    """
+    settings = _settings(algebra.dim, oracle, bound)
+    facts = algebra._analysis
+    if (facts is not None and facts.split == split
+            and (facts.oracle, facts.bound) == settings
+            and _matches(facts, "table", table)
+            and _matches(facts, "graph", graph)):
+        return facts
+    facts = _Analysis(algebra, split, table, graph, *settings)
+    algebra._analysis = facts
+    return facts
+
+
+def _matches(facts: _Analysis, name: str, given) -> bool:
+    """Whether a table or graph a caller passes is absent, or is the fact
+    ``name`` that ``facts`` holds, or equal to it."""
+    return given is None or given == vars(facts).get(name)
+
+
 def check_minimality(algebra: LeibnizAlgebra, table: MultiplicativeTable,
                      split: BasisSplit, *, oracle: Optional[bool] = None,
                      bound: Optional[int] = None) -> MinimalityVerdict:
@@ -573,7 +627,8 @@ def check_minimality(algebra: LeibnizAlgebra, table: MultiplicativeTable,
     enumeration oracle (oracle=None runs it whenever the dimension is at
     most the bound, DEFAULT_ENUM_BOUND unless given), and require all
     computed routes to agree."""
-    return _Analysis(algebra, split, table, oracle, bound).verdict
+    return _analysis_of(algebra, split, table, oracle=oracle,
+                        bound=bound).verdict
 
 
 def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
@@ -588,13 +643,15 @@ def cross_validate(algebra: LeibnizAlgebra, split: BasisSplit, *,
     (``_reach_masks``, from the graph side only) must equal its ideal's
     mask restricted to the part; weak division against weak symmetry of
     both part subgraphs.  Returns counters for reporting.  The ideal of
-    each basis vector is closed once per call, as a bitmask of basis
-    vectors; the masks are kept until the call returns (n^2 bits for
-    dimension n) and serve both checks.  The reach masks of one part
-    subgraph at a time add at most n^2 bits more.
+    each basis vector is closed once, as a bitmask of basis vectors; the
+    masks serve both checks and are kept with the analysis the algebra
+    holds, so while the algebra lives (n^2 bits for dimension n).  The
+    reach masks of one part subgraph at a time add at most n^2 bits more
+    during the call.  Every call repeats the checks, also on facts the
+    algebra's analysis holds already.
     """
-    return _Analysis(algebra, split, oracle=oracle,
-                     bound=bound).cross_validation()
+    return _analysis_of(algebra, split, oracle=oracle,
+                        bound=bound).cross_validation()
 
 
 def weak_division_json(algebra: LeibnizAlgebra, table: MultiplicativeTable,
@@ -623,4 +680,4 @@ def analysis_report(algebra: LeibnizAlgebra, split: BasisSplit, *,
     """One JSON-ready dictionary with every headline fact about the
     algebra.  Key order is fixed and arrays are sorted, so serialization
     is byte-stable."""
-    return _Analysis(algebra, split, oracle=oracle, bound=bound).report()
+    return _analysis_of(algebra, split, oracle=oracle, bound=bound).report()

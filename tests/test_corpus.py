@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from leibniz_graphs import corpus
 from leibniz_graphs.algebra import (
     BasisSplit,
     LeibnizAlgebra,
@@ -110,6 +111,29 @@ def test_build_example_rejects_unknown_params():
         build_example("ud_plus_five", {"bogus": 1})
     with pytest.raises(BadParamsError):
         build_example("odd_family", {"n": 7, "m": 3})
+
+
+def test_build_example_checks_parameters_before_building(monkeypatch):
+    with pytest.raises(BadParamsError, match="n must be int, got '5'"):
+        build_example("filiform", {"n": "5"})
+    with pytest.raises(BadParamsError, match="n must be int, got True"):
+        build_example("odd_family", {"n": True})
+    with pytest.raises(BadParamsError, match="field must be FieldSpec"):
+        build_example("five_dim", {"field": 5})
+    # the message names the example, not the private function behind it
+    with pytest.raises(BadParamsError) as info:
+        build_example("ud_plus_five", {"bogus": 1})
+    assert str(info.value) == ("bad parameters for 'ud_plus_five': "
+                               "ud_plus_five() got an unexpected keyword "
+                               "argument 'bogus'")
+
+    # a TypeError raised inside a builder is not a parameter error
+    def broken(n, field=Q):
+        raise TypeError("raised by the builder")
+
+    monkeypatch.setitem(corpus._BUILDERS, "filiform", broken)
+    with pytest.raises(TypeError, match="raised by the builder"):
+        build_example("filiform", {"n": 5})
 
 
 def test_direct_sum_is_a_disjoint_union():

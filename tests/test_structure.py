@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import re
 import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
@@ -17,6 +19,7 @@ from leibniz_graphs import structure
 from leibniz_graphs.algebra import (
     BasisSplit,
     LeibnizAlgebra,
+    MultiplicativeTable,
     to_multiplicative,
     unit_ideal,
 )
@@ -508,12 +511,12 @@ def test_cross_validate_and_check_minimality_compute_each_fact_once(
                             induced_subgraph=2, undirected_components=2,
                             is_weakly_symmetric=2, enumerate_basis_ideals=1)
 
+    # check_minimality on the same algebra, with a table equal to the one
+    # the held analysis derived, reads that analysis: no fact, no call
     facts.clear()
     calls.clear()
-    check_minimality(alg, table, split)
-    assert facts == _once(*DECISION_FACTS)
-    assert calls == Counter(build_graph=1, induced_subgraph=2,
-                            undirected_components=2, enumerate_basis_ideals=1)
+    assert check_minimality(alg, table, split).minimal is False
+    assert not facts and not calls
 
 
 def test_minimality_routes_must_agree(monkeypatch):
@@ -545,8 +548,9 @@ def test_enumeration_confirms_every_listed_set(monkeypatch):
 
 
 def test_cross_validate_closes_each_generator_once_per_call(monkeypatch):
-    # weak division and the reachability check share one map of generator
-    # masks within a cross_validate call, not across calls
+    # weak division and the reachability check share the generator masks
+    # of the analysis the algebra holds: a second call on the same algebra
+    # closes none, and an equal but distinct algebra closes its own
     alg, split = build_example("five_doubled")
     closed = Counter()
     real = structure._GeneratorIdeals._close
@@ -556,18 +560,101 @@ def test_cross_validate_closes_each_generator_once_per_call(monkeypatch):
         return real(self, v)
 
     monkeypatch.setattr(structure._GeneratorIdeals, "_close", counting)
-    for _call in range(2):
-        closed.clear()
-        stats = cross_validate(alg, split)
-        assert stats["reachability_pairs"] > 0
-        assert set(closed) == set(range(alg.dim))
-        assert set(closed.values()) == {1}
+    stats = cross_validate(alg, split)
+    assert stats["reachability_pairs"] > 0
+    assert set(closed) == set(range(alg.dim))
+    assert set(closed.values()) == {1}
+
+    closed.clear()
+    assert cross_validate(alg, split) == stats
+    assert not closed
+
+    other, other_split = build_example("five_doubled")
+    assert other == alg and other is not alg
+    assert cross_validate(other, other_split) == stats
+    assert set(closed) == set(range(alg.dim))
+    assert set(closed.values()) == {1}
 
     # outside cross_validate, check_weak_division closes each generator
     # it needs once
     closed.clear()
-    check_weak_division(alg, to_multiplicative(alg, split), split)
+    fresh, fresh_split = build_example("five_doubled")
+    check_weak_division(fresh, to_multiplicative(fresh, fresh_split),
+                        fresh_split)
     assert closed and set(closed.values()) == {1}
+
+
+def test_held_analysis_answers_only_its_own_split():
+    alg, split = filiform(5)
+    assert analysis_report(alg, split)["kernel"] == [
+        "e_2", "e_3", "e_4", "e_5"]
+    assert analysis_report(alg, BasisSplit.of(alg.dim, ()))["kernel"] == []
+    assert analysis_report(alg, split)["kernel"] == [
+        "e_2", "e_3", "e_4", "e_5"]
+
+
+def test_held_analysis_answers_only_its_own_oracle_and_bound():
+    alg, split = five_dim()
+    table = to_multiplicative(alg, split)
+    assert analysis_report(alg, split, oracle=False)["oracle_ideals"] is None
+    assert analysis_report(alg, split)["oracle_ideals"] is not None
+    # the default oracle runs up to the bound, and dimension 5 exceeds 4
+    assert check_minimality(alg, table, split, bound=4).oracle_minimal is None
+    assert check_minimality(alg, table, split, bound=5).oracle_minimal is True
+
+
+def test_held_analysis_answers_only_its_own_table_and_graph():
+    # filiform(5) fails weak division and its graph is connected; an empty
+    # table passes weak division and an edgeless graph splits the basis
+    # into single vectors that do not span ideals
+    alg, split = filiform(5)
+    table = to_multiplicative(alg, split)
+    assert cross_validate(alg, split)["weak_division"] is False
+    empty = MultiplicativeTable(alg.field, alg.labels, ())
+    assert check_weak_division(alg, empty, split) == (True, [])
+    holds, violations = check_weak_division(alg, table, split)
+    assert holds is False and violations
+    violations.clear()   # the caller's copy, not the held list
+    assert check_weak_division(alg, table, split)[1]
+
+    assert decompose(alg, table, split).count == 1
+    edgeless = DiGraph(tuple(range(alg.dim)), alg.labels, frozenset())
+    with pytest.raises(InternalInvariantViolation,
+                       match="does not span an ideal"):
+        decompose(alg, table, split, graph=edgeless)
+    assert decompose(alg, table, split,
+                     graph=build_graph(table, split)).count == 1
+
+
+def test_held_analysis_is_freed_with_its_algebra():
+    # the analysis refers to its algebra weakly, so reference counting
+    # alone frees it: no cycle waits for the garbage collector
+    gc.disable()
+    try:
+        alg, split = filiform(40)
+        cross_validate(alg, split, oracle=False)
+        graph = weakref.ref(alg._analysis.graph)
+        assert graph() is not None
+        del alg
+        assert graph() is None
+    finally:
+        gc.enable()
+
+
+def test_a_patched_route_runs_again_on_a_fresh_algebra(monkeypatch):
+    alg, split = five_dim()
+    table = to_multiplicative(alg, split)
+    assert check_minimality(alg, table, split, oracle=False).minimal
+    monkeypatch.setattr(structure, "is_strongly_connected",
+                        lambda graph: False)
+    # the verdict the algebra holds answers again ...
+    assert check_minimality(alg, table, split, oracle=False).minimal
+    # ... and an equal but distinct algebra derives its own
+    fresh, fresh_split = five_dim()
+    with pytest.raises(InternalInvariantViolation,
+                       match="minimality routes disagree"):
+        check_minimality(fresh, to_multiplicative(fresh, fresh_split),
+                         fresh_split, oracle=False)
 
 
 def _permuted(build, n, seed):
