@@ -22,6 +22,7 @@ with dim^3.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import chain
@@ -74,6 +75,11 @@ class LeibnizAlgebra:
     instance reports ``identity_verified == False`` until a full check
     has run.
 
+    The constructor checks every index, value and label before it fills
+    the instance.  The private ``_trusted`` fills it from products a
+    caller has already proved (the document parse) and always checks the
+    identity; both share ``_fill``, so the two paths hold equal data.
+
     An instance holds the last analysis that one of the structure readers
     derived of it (``structure._analysis_of``), so that readers called on
     one algebra share its facts; the analysis refers back to the algebra
@@ -102,6 +108,26 @@ class LeibnizAlgebra:
             coords = {k: c for k, c in sorted(coords.items()) if c}
             if coords:
                 table[(i, j)] = coords
+        self._fill(field, labels, table)
+        if check:
+            _ensure_leibniz(self)
+
+    @classmethod
+    def _trusted(cls, field: FieldSpec, labels: tuple, products: dict
+                 ) -> "LeibnizAlgebra":
+        """An algebra from parts already known to be valid: unique str
+        labels, and products whose indices lie in range and whose coords
+        are sorted, nonempty and hold canonical nonzero field values.
+        The constructor's checks are skipped; the identity is checked,
+        and NotLeibnizError raised on failure, as the constructor does."""
+        algebra = object.__new__(cls)
+        algebra._fill(field, labels, dict(sorted(products.items())))
+        _ensure_leibniz(algebra)
+        return algebra
+
+    def _fill(self, field: FieldSpec, labels: tuple, table: dict):
+        """Hold a checked table of nonzero products, sorted by pair."""
+        n = len(labels)
         left = [{} for _ in range(n)]
         right = [{} for _ in range(n)]
         for (i, j), coords in table.items():
@@ -116,11 +142,6 @@ class LeibnizAlgebra:
         self._right = tuple(right)
         self._analysis = None
         self.identity_verified = False
-        if check:
-            violations = check_leibniz(self)
-            if violations:
-                raise NotLeibnizError(violations)
-            self.identity_verified = True
 
     @property
     def dim(self) -> int:
@@ -221,10 +242,15 @@ def check_leibniz(algebra: LeibnizAlgebra, *, stop_early: bool = False):
     [[v_j, v_k], v_i] needs k in row j, some m in the support of
     [v_j, v_k] and i in row m; [[v_j, v_i], v_k] the same with k and i
     swapped; [v_j, [v_k, v_i]] some m in the support of [v_k, v_i] with
-    [v_j, v_m] nonzero.  Only the triples on such a path are visited,
-    still in (j, k, i) order, and every other residual is identically
-    zero.  With P such paths the check costs O(P log P); P is about
-    three times the number of nonzero products on the corpus families.
+    [v_j, v_m] nonzero.  So each row j is read in one pass that adds
+    every path's term straight into the residual of its (k, i): a path
+    j -> x -> m -> y gives term one of (x, y) and, negated, term two of
+    (y, x); a product [v_j, v_x] and each (k, i) with x in the support
+    of [v_k, v_i], which ``into[x]`` lists with that coordinate negated,
+    give term three.  Only the triples on such a path are visited,
+    in (j, k, i) order, and every other residual is identically zero.
+    With P such paths the check costs O(P log P); P is about three times
+    the number of nonzero products on the corpus families.
 
     Over Q each coefficient is read once as an integer pair (numerator,
     denominator) and a residual is summed unreduced on such pairs
@@ -244,46 +270,38 @@ def check_leibniz(algebra: LeibnizAlgebra, *, stop_early: bool = False):
 
         def settle(acc):
             return prune(field, acc)
-    # into[m]: every (k, i), coded k * n + i, with m in supp [v_k, v_i]
+    # into[m]: every (k, i), coded k * n + i, with m in supp [v_k, v_i],
+    # and minus that coordinate of [v_k, v_i]; kept only for an m that is
+    # the right factor of some nonzero product, as term three needs
+    right = algebra._right
     into = [[] for _ in range(n)]
-    for (k, i), coords in algebra.products.items():
-        for m in coords:
-            into[m].append(k * n + i)
+    for k, row in enumerate(left):
+        for i, coords in row.items():
+            for m, c in coords.items():
+                if right[m]:
+                    into[m].append((k * n + i, neg(c)))
     violations = []
     for j in range(n):
         row_j = left[j]
         if not row_j:      # every term brackets v_j on the left
             continue
-        pairs = set()
+        residuals = defaultdict(dict)   # k * n + i -> residual, unsettled
         for x, jx in row_j.items():
-            for m in jx:
-                for y in left[m]:
-                    pairs.add(x * n + y)   # k = x, i = y: [[v_j, v_k], v_i]
-                    pairs.add(y * n + x)   # i = x, k = y: [[v_j, v_i], v_k]
-            pairs.update(into[x])          # m = x: [v_j, [v_k, v_i]]
-        for pair in sorted(pairs):
-            k, i = divmod(pair, n)
-            acc: dict = {}
-            jk = row_j.get(k)
-            if jk is not None:            # [[v_j, v_k], v_i]
-                for m, c in jk.items():
-                    coords = left[m].get(i)
-                    if coords is not None:
-                        add(acc, c, coords)
-            ji = row_j.get(i)
-            if ji is not None:            # - [[v_j, v_i], v_k]
-                for m, c in ji.items():
-                    coords = left[m].get(k)
-                    if coords is not None:
-                        add(acc, neg(c), coords)
-            ki = left[k].get(i)
-            if ki is not None:            # - [v_j, [v_k, v_i]]
-                for m, c in ki.items():
-                    coords = row_j.get(m)
-                    if coords is not None:
-                        add(acc, neg(c), coords)
-            residual = settle(acc)
+            for m, c in jx.items():
+                row_m = left[m]
+                if row_m:
+                    minus_c = neg(c)
+                    for y, coords in row_m.items():
+                        # [[v_j, v_k], v_i] with (k, i) = (x, y)
+                        add(residuals[x * n + y], c, coords)
+                        # - [[v_j, v_i], v_k] with (k, i) = (y, x)
+                        add(residuals[y * n + x], minus_c, coords)
+            for pair, minus_c in into[x]:   # - [v_j, [v_k, v_i]], m = x
+                add(residuals[pair], minus_c, jx)
+        for pair in sorted(residuals):
+            residual = settle(residuals[pair])
             if residual:
+                k, i = divmod(pair, n)
                 violations.append((i, j, k, to_dense(field, n, residual)))
                 if stop_early:
                     return violations

@@ -29,6 +29,7 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring as _quote
+from math import gcd
 
 from .algebra import (
     BasisSplit,
@@ -221,10 +222,43 @@ def scalar_from_json(field: FieldSpec, value, path: str = "$"):
     return field.scalar(value)
 
 
+# The text scalar_to_json writes for a rational, up to the sign of zero,
+# the denominator 1 and the reduction, which _canonical_scalar tests.
+_CANONICAL_RATIONAL = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?")
+
+
+def _canonical_scalar(field: FieldSpec, value):
+    """The field value of a document scalar in canonical form, built once;
+    None for any other value, which _document_scalar then reads or
+    rejects.
+
+    Canonical is what scalar_to_json writes: over Q a string matching
+    _CANONICAL_RATIONAL, not "-0", whose denominator is not 1 and is
+    coprime to the numerator; over GF(p) an int in 0..p-1."""
+    if field.p is not None:
+        return value if type(value) is int and 0 <= value < field.p else None
+    if type(value) is not str or _CANONICAL_RATIONAL.fullmatch(value) is None:
+        return None
+    num, slash, den = value.partition("/")
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        num = int(num)
+        if not slash:
+            return None if value == "-0" else Fraction(num)
+        den = int(den)
+    except ValueError:
+        return None
+    if den == 1 or gcd(num, den) != 1:
+        return None
+    return Fraction(num, den)
+
+
 def _document_scalar(field: FieldSpec, value, path: str):
     """A scalar inside a document.  A rational written as a string must be
     the text that scalar_to_json emits for it: reduced, no denominator 1,
-    no sign on zero, no leading zeros and no surrounding whitespace."""
+    no sign on zero, no leading zeros and no surrounding whitespace.
+
+    The lenient route: the parse calls it only for a value that
+    _canonical_scalar does not take, so that its error names ``path``."""
     scalar = scalar_from_json(field, value, path)
     if type(value) is str and value != scalar_to_json(scalar):
         raise InputDocumentError(
@@ -256,10 +290,16 @@ def algebra_to_json(algebra: LeibnizAlgebra, split: BasisSplit,
 def algebra_from_json(doc):
     """Parse and fully validate an algebra document.
 
-    Validation order: schema shape, label references, scalar formats,
-    duplicate products, the Leibniz identity, then the kernel split
-    (declared and re-validated, or inferred from the computed kernel).
+    Validation order: schema shape, then per product in document order
+    its label references, its scalar, a zero coefficient and a repeated
+    pair, then the Leibniz identity, then the kernel split (declared and
+    re-validated, or inferred from the computed kernel).
     Returns (algebra, split, table).
+
+    One pass over the products builds each coefficient once and proves
+    what the algebra constructor would check, so the algebra is built
+    through its trusted path, which still checks the identity.  JSON
+    paths are written only for an error.
     """
     _schema_validate(doc, "algebra")
     field = field_from_json(doc["field"])
@@ -267,28 +307,31 @@ def algebra_from_json(doc):
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     products = {}
-    seen = {}
     for pos, entry in enumerate(doc["products"]):
-        path = f"$.products[{pos}]"
-        for key in ("l", "r", "out"):
-            if entry[key] not in index:
-                raise InputDocumentError(
-                    f"unknown label {entry[key]!r}", f"{path}.{key}"
-                )
-        coeff = _document_scalar(field, entry["c"], f"{path}.c")
+        try:
+            pair = (index[entry["l"]], index[entry["r"]])
+            out = index[entry["out"]]
+        except KeyError:
+            key = next(k for k in ("l", "r", "out") if entry[k] not in index)
+            raise InputDocumentError(f"unknown label {entry[key]!r}",
+                                     f"$.products[{pos}].{key}") from None
+        coeff = _canonical_scalar(field, entry["c"])
+        if coeff is None:
+            coeff = _document_scalar(field, entry["c"],
+                                     f"$.products[{pos}].c")
         if not coeff:
             raise InputDocumentError(
-                "zero coefficient; omit zero products instead", f"{path}.c"
+                "zero coefficient; omit zero products instead",
+                f"$.products[{pos}].c"
             )
-        pair = (index[entry["l"]], index[entry["r"]])
-        if pair in seen:
+        if pair in products:  # each earlier product added one pair
             raise InputDocumentError(
                 f"duplicate product for ({entry['l']}, {entry['r']}); "
-                f"first at $.products[{seen[pair]}]", path
+                f"first at $.products[{list(products).index(pair)}]",
+                f"$.products[{pos}]"
             )
-        seen[pair] = pos
-        products[pair] = {index[entry["out"]]: coeff}
-    algebra = LeibnizAlgebra(field, labels, products)
+        products[pair] = {out: coeff}
+    algebra = LeibnizAlgebra._trusted(field, labels, products)
     if "kernel" in doc:
         for pos, lab in enumerate(doc["kernel"]):
             if lab not in index:
@@ -330,10 +373,13 @@ def map_from_json(doc, field: FieldSpec, dim: int):
                 f"column {j} has length {len(col)}, expected {dim}",
                 f"$.matrix[{j}]"
             )
-        columns.append(tuple(
-            _document_scalar(field, v, f"$.matrix[{j}][{i}]")
-            for i, v in enumerate(col)
-        ))
+        column = []
+        for i, value in enumerate(col):
+            scalar = _canonical_scalar(field, value)
+            if scalar is None:
+                scalar = _document_scalar(field, value, f"$.matrix[{j}][{i}]")
+            column.append(scalar)
+        columns.append(tuple(column))
     return columns
 
 

@@ -128,6 +128,13 @@ def _algebra_cases():
         ("c_leading_zero", _edit(BASE, ["products", 2, "c"], "-02")),
         ("c_zero_unreduced", _edit(BASE, ["products", 2, "c"], "0/3")),
         ("c_zero", _edit(BASE, ["products", 2, "c"], "0")),
+        ("c_negative_zero", _edit(BASE, ["products", 2, "c"], "-0")),
+        ("c_negative_zero_over_three", _edit(BASE, ["products", 2, "c"],
+                                             "-0/3")),
+        ("c_unreduced_fraction", _edit(BASE, ["products", 2, "c"], "-2/4")),
+        # one digit past the interpreter's limit for int() of a string
+        ("c_numerator_4301_digits", _edit(BASE, ["products", 2, "c"],
+                                          "1" * 4301)),
         ("c_gf_string", _edit(BASE_GF, ["products", 0, "c"], "1")),
         ("c_gf_integral_float", _edit(BASE_GF, ["products", 0, "c"], 1.0)),
         ("c_gf_residue_too_large", _edit(BASE_GF, ["products", 0, "c"], 5)),
@@ -162,6 +169,8 @@ def _map_cases():
                                              ["matrix", 1, 1], "1\n")),
         ("map_entry_unreduced", _edit(IDENTITY_MAP, ["matrix", 1, 1],
                                       "3/3")),
+        ("map_entry_negative_zero", _edit(IDENTITY_MAP, ["matrix", 1, 0],
+                                          "-0")),
         ("map_too_few_columns", _edit(IDENTITY_MAP, ["matrix", 4], _DELETE)),
         ("map_short_column", _edit(IDENTITY_MAP, ["matrix", 4, 4], _DELETE)),
         ("map_singular", _edit(IDENTITY_MAP, ["matrix", 4, 4], "0")),

@@ -9,6 +9,12 @@ no document, run once per example and once.  The documents are written
 with the standard library's ``json.dumps``, so the inputs do not depend
 on the package's own emitter.
 
+Documents of moderate size (odd_family(31) and filiform(40) over three
+fields, and a distinct-prime rescaling), and one-product mutants of them
+that break the identity, run the decision commands; their stdout is kept
+in full when it is at most ``FULL_STDOUT_BYTES`` long, so that a failure
+shows a diff.
+
 After a deliberate change to an output, rewrite the table with
 
     PYTHONPATH=src python tests/test_output_contract.py
@@ -24,16 +30,25 @@ import json
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from leibniz_graphs.corpus import permute_basis, standard_entries
+from leibniz_graphs.corpus import (
+    filiform,
+    odd_family,
+    permute_basis,
+    rescale_basis,
+    standard_entries,
+)
 from leibniz_graphs.jsonio import algebra_to_json
+from leibniz_graphs.scalars import FieldSpec
 
 from test_error_contract import run_case
 
 TABLE = Path(__file__).with_name("output_contract.json")
+FULL_STDOUT_BYTES = 1024
 
 
 def _documents():
@@ -137,10 +152,75 @@ def cases():
                     "--prime", "7", flag], {})
 
 
-def observe(directory: Path, argv, files) -> dict:
-    """Run one case and reduce its stdout to length and digest."""
+def _primes(count: int) -> list:
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _moderate_documents():
+    """(name, algebra document) for odd_family(31) and filiform(40) over
+    Q, GF(101) and GF(998244353), and for odd_family(31) over Q with each
+    basis vector v_i rescaled to v_i / p_i for distinct primes p_i."""
+    for field_name, field in (("Q", FieldSpec.rationals()),
+                              ("GF101", FieldSpec.prime(101)),
+                              ("GF998244353", FieldSpec.prime(998244353))):
+        yield (f"odd_family-n31-{field_name}",
+               algebra_to_json(*odd_family(31, field)))
+        yield (f"filiform-n40-{field_name}",
+               algebra_to_json(*filiform(40, field)))
+    algebra, split = odd_family(31)
+    diag = [Fraction(1, p) for p in _primes(algebra.dim)]
+    yield "odd_family-n31-Q-primes", algebra_to_json(
+        *rescale_basis(algebra, split, diag))
+
+
+def _identity_breakers(name: str, doc: dict):
+    """Three (name, document) mutants of doc, each with one product added
+    at a seeded pair that doc leaves zero, with coefficient one and a
+    seeded output.  On these documents every such addition breaks the
+    identity, which each entry's stderr records."""
+    rng = random.Random(name)
+    labels = doc["labels"]
+    taken = {(entry["l"], entry["r"]) for entry in doc["products"]}
+    one = "1" if doc["field"] == "Q" else 1
+    for number in range(3):
+        while True:
+            left, right = rng.choice(labels), rng.choice(labels)
+            if (left, right) not in taken:
+                break
+        out = rng.choice(labels)
+        added = {"l": left, "r": right, "out": out, "c": one}
+        yield (f"added{number}-{left}-{right}-{out}",
+               dict(doc, products=doc["products"] + [added]))
+
+
+def moderate_cases():
+    """Every moderate-size case as (name, argv, {file name: text})."""
+    for doc_name, doc in _moderate_documents():
+        files = {"doc.json": json.dumps(doc)}
+        for command in ("validate", "minimal", "weakdiv", "decompose"):
+            yield (f"moderate-{doc_name}:{command}",
+                   [command, "doc.json"], files)
+        for mutant_name, mutant in _identity_breakers(doc_name, doc):
+            files = {"doc.json": json.dumps(mutant)}
+            for command in ("validate", "minimal"):
+                yield (f"moderate-{doc_name}-{mutant_name}:{command}",
+                       [command, "doc.json"], files)
+
+
+def observe(directory: Path, argv, files, full: bool = False) -> dict:
+    """Run one case and reduce its stdout to length and digest, or, with
+    ``full``, keep a stdout of at most FULL_STDOUT_BYTES as it is."""
     result = run_case(directory, argv, files)
     out = result["stdout"].encode("utf-8")
+    if full and len(out) <= FULL_STDOUT_BYTES:
+        return {"exit": result["exit"], "stderr": result["stderr"],
+                "stdout": result["stdout"]}
     return {
         "exit": result["exit"],
         "stderr": result["stderr"],
@@ -149,7 +229,9 @@ def observe(directory: Path, argv, files) -> dict:
     }
 
 
-CASES = list(cases())
+CASES = ([(name, argv, files, False) for name, argv, files in cases()]
+         + [(name, argv, files, True)
+            for name, argv, files in moderate_cases()])
 
 
 @pytest.fixture(scope="module")
@@ -158,22 +240,22 @@ def table():
 
 
 def test_every_case_is_in_the_table(table):
-    names = [name for name, _argv, _files in CASES]
+    names = [name for name, _argv, _files, _full in CASES]
     assert len(names) == len(set(names))
     assert sorted(names) == sorted(table)
 
 
-@pytest.mark.parametrize("name, argv, files", CASES,
+@pytest.mark.parametrize("name, argv, files, full", CASES,
                          ids=[case[0] for case in CASES])
-def test_output_contract(name, argv, files, table, tmp_path):
-    assert observe(tmp_path, argv, files) == table[name]
+def test_output_contract(name, argv, files, full, table, tmp_path):
+    assert observe(tmp_path, argv, files, full) == table[name]
 
 
 if __name__ == "__main__":
     frozen = {}
-    for name, argv, files in CASES:
+    for name, argv, files, full in CASES:
         with tempfile.TemporaryDirectory() as scratch:
-            frozen[name] = observe(Path(scratch), argv, files)
+            frozen[name] = observe(Path(scratch), argv, files, full)
     TABLE.write_text(json.dumps(frozen, indent=2, ensure_ascii=False) + "\n",
                      encoding="utf-8")
     print(f"wrote {len(frozen)} cases to {TABLE}", file=sys.stderr)
